@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .data import (AugmentConfig, IndexFileError, PgmError, augment, load_index, load_pgm,
-                   resize, save_pgm, synth_generate, to_bytes, to_unit)
+                   resize, sample_stream, save_pgm, synth_generate, to_bytes, to_unit)
 from .gradcheck import run_all
 from .losses import LossConfig, hybrid_loss
 from .metrics import (ConfusionCounts, confusion_table, detect_sample, format_percent,
@@ -27,7 +27,6 @@ from .model import (CheckpointError, ModelConfig, build_model, count_params, loa
                     save_checkpoint)
 from .optim import Adam
 from .tensor import ShapeError, Tensor
-from .data import sample_stream
 
 
 @dataclass
@@ -419,7 +418,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, ShapeError, PgmError, IndexFileError, CheckpointError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         if isinstance(exc, (ValueError,)) and not isinstance(
                 exc, (ShapeError, PgmError, IndexFileError)):
             # Bad configuration or flag values are usage errors.

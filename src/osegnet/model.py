@@ -10,6 +10,8 @@ No skip connections: the decoder consumes only the bottleneck features.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -190,17 +192,37 @@ def _checkpoint_entries(model: OSegNetModel) -> list:
 
 
 def save_checkpoint(model: OSegNetModel, path) -> None:
+    """Write the model to path, replacing any previous checkpoint atomically.
+
+    The bytes go to ``<path>.tmp`` in the same directory, which then replaces
+    path; a write that fails partway removes the temporary file and leaves
+    the previous checkpoint untouched.
+    """
     entries = _checkpoint_entries(model)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<III", CHECKPOINT_VERSION, model.config.q_order, len(entries)))
-        for name, arr in entries:
-            encoded = name.encode("ascii")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    # Header 16 bytes; per tensor 3 bytes, the name, 4 per dim and 4 per value.
+    size = 16 + sum(3 + len(name) + 4 * (arr.ndim + arr.size) for name, arr in entries)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            if hasattr(os, "posix_fallocate"):
+                # With the blocks allocated up front, the rename need not
+                # flush delayed allocations first, as ext4 does when a file
+                # replaces another; that flush took longer than the write.
+                os.posix_fallocate(fh.fileno(), 0, size)
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<III", CHECKPOINT_VERSION, model.config.q_order, len(entries)))
+            for name, arr in entries:
+                encoded = name.encode("ascii")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

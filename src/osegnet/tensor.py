@@ -7,11 +7,22 @@ into ``.grad``. The heavy kernels (conv2d and its transpose) are written in
 im2col/col2im form so the inner loops run as BLAS matmuls with a fixed
 summation order. Reductions accumulate in float64 and round the result back
 to float32.
+
+conv2d holds at most ``COLS_BUDGET`` bytes of im2col columns per call (but
+always at least one sample's). A batch whose columns fit is lowered in one
+go and its columns are kept for backward. A larger batch is lowered a chunk
+of samples at a time through one reused buffer; backward keeps only the
+padded input and rebuilds each chunk's columns. Every sample goes through
+the same BLAS call either way and the float64 weight gradient adds samples
+in batch order, so chunking changes no bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Most bytes of im2col columns one conv2d call builds at a time.
+COLS_BUDGET = 16 << 20
 
 
 class ShapeError(ValueError):
@@ -305,10 +316,11 @@ def _same_pads(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return out, before, total - before
 
 
-def _im2col(padded: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    """(N, C, Hp, Wp) -> contiguous columns (N, C, k, k, h_out, w_out)."""
+def _im2col(padded: np.ndarray, k: int, stride: int, h_out: int, w_out: int,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """(N, C, Hp, Wp) -> contiguous columns (N, C, k, k, h_out, w_out), into out if given."""
     n, c = padded.shape[:2]
-    cols = np.empty((n, c, k, k, h_out, w_out), dtype=np.float32)
+    cols = np.empty((n, c, k, k, h_out, w_out), dtype=np.float32) if out is None else out
     for ky in range(k):
         for kx in range(k):
             cols[:, :, ky, kx] = padded[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
@@ -320,11 +332,17 @@ def _col2im(cols: np.ndarray, n: int, c: int, h_pad: int, w_pad: int,
             k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
     """Adjoint of _im2col: scatter-add columns back into a padded buffer."""
     buf = np.zeros((n, c, h_pad, w_pad), dtype=np.float32)
+    _col2im_add(buf, cols, k, stride, h_out, w_out)
+    return buf
+
+
+def _col2im_add(buf: np.ndarray, cols: np.ndarray, k: int, stride: int,
+                h_out: int, w_out: int) -> None:
+    """Scatter-add columns (N, C, k, k, h_out, w_out) into buf (N, C, Hp, Wp) in place."""
     for ky in range(k):
         for kx in range(k):
             buf[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
                 kx:kx + (w_out - 1) * stride + 1:stride] += cols[:, :, ky, kx]
-    return buf
 
 
 def _conv_geometry(h: int, w: int, k: int, stride: int, padding: str):
@@ -368,10 +386,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     h_out, w_out, pt, pb, pl, pr = _conv_geometry(h, w, k, stride, padding)
 
     padded = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols = _im2col(padded, k, stride, h_out, w_out)
-    cols3 = cols.reshape(n, cin * k * k, h_out * w_out)
     w2 = kernels.data.reshape(cout, cin * k * k)
-    y = np.matmul(w2, cols3).reshape(n, cout, h_out, w_out)
+    m = max(1, min(n, COLS_BUDGET // (4 * cin * k * k * h_out * w_out)))
+    if m == n:
+        y, adjoint = _conv_whole(padded, w2, k, stride, h_out, w_out)
+    else:
+        y, adjoint = _conv_chunked(padded, w2, k, stride, h_out, w_out, m)
+    y = y.reshape(n, cout, h_out, w_out)
     if bias is not None:
         y = y + bias.data.reshape(1, cout, 1, 1)
 
@@ -379,17 +400,69 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     out = Tensor(y, parents, "conv2d")
 
     def bwd(g):
-        g3 = g.reshape(n, cout, h_out * w_out)
-        dw = np.matmul(g3, cols3.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+        dw, dpad = adjoint(g.reshape(n, cout, h_out * w_out))
         _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
-        dcols = np.matmul(w2.T, g3).reshape(n, cin, k, k, h_out, w_out)
-        dpad = _col2im(dcols, n, cin, h + pt + pb, w + pl + pr, k, stride, h_out, w_out)
         _accumulate(x, dpad[:, :, pt:pt + h, pl:pl + w])
 
     out._backward_fn = bwd
     return out
+
+
+def _conv_whole(padded, w2, k, stride, h_out, w_out):
+    """Lower the whole batch at once; the adjoint keeps the columns, not padded.
+
+    Returns y as (N, Cout, h_out*w_out) and adjoint(g3) -> (float64 dW, dpad).
+    """
+    n, c, h_pad, w_pad = padded.shape
+    cols3 = _im2col(padded, k, stride, h_out, w_out).reshape(n, c * k * k, h_out * w_out)
+    y = np.matmul(w2, cols3)
+
+    def adjoint(g3):
+        dw = np.matmul(g3, cols3.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+        dcols = np.matmul(w2.T, g3).reshape(n, c, k, k, h_out, w_out)
+        return dw, _col2im(dcols, n, c, h_pad, w_pad, k, stride, h_out, w_out)
+
+    return y, adjoint
+
+
+def _conv_chunked(padded, w2, k, stride, h_out, w_out, m):
+    """Lower m samples at a time through one reused column buffer.
+
+    Same contract as _conv_whole, but the adjoint keeps only padded and
+    rebuilds each chunk's columns. A sample's matmuls see the same operand
+    shapes and strides as in _conv_whole, and dW adds the float64 per-sample
+    products in batch order as ``sum(axis=0, dtype=np.float64)`` does, so
+    both lowerings give the same bits.
+    """
+    n, c = padded.shape[:2]
+    rows, hw = c * k * k, h_out * w_out
+    chunks = [(i, min(m, n - i)) for i in range(0, n, m)]
+    buf = np.empty((m, c, k, k, h_out, w_out), dtype=np.float32)
+    y = np.empty((n, w2.shape[0], hw), dtype=np.float32)
+    for i, r in chunks:
+        cols3 = _im2col(padded[i:i + r], k, stride, h_out, w_out, buf[:r]).reshape(r, rows, hw)
+        np.matmul(w2, cols3, out=y[i:i + r])
+
+    def adjoint(g3):
+        buf = np.empty((m, c, k, k, h_out, w_out), dtype=np.float32)
+        dbuf = np.empty_like(buf)
+        dpad = np.zeros_like(padded)
+        dw = None
+        for i, r in chunks:
+            cols3 = _im2col(padded[i:i + r], k, stride, h_out, w_out, buf[:r]).reshape(r, rows, hw)
+            part = np.matmul(g3[i:i + r], cols3.transpose(0, 2, 1))
+            if dw is None:
+                dw = part.sum(axis=0, dtype=np.float64)
+            else:
+                for sample in part:
+                    dw += sample
+            np.matmul(w2.T, g3[i:i + r], out=dbuf[:r].reshape(r, rows, hw))
+            _col2im_add(dpad[i:i + r], dbuf[:r], k, stride, h_out, w_out)
+        return dw, dpad
+
+    return y, adjoint
 
 
 def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,

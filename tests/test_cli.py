@@ -256,6 +256,14 @@ class TestPredictCommand:
                        "--image", image, "--out", tmp_path / "pr")
         assert code == 1
 
+    def test_image_directory_is_an_io_error(self, dataset, trained, tmp_path, capsys):
+        code = run_cli("predict", *SMALL, "--ckpt", trained,
+                       "--image", dataset.parent / "images", "--out", tmp_path / "pr")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestGradcheckCommand:
     def test_clean_run_passes(self, capsys):

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from osegnet import model as model_mod
 from osegnet.model import (CANONICAL_DECODER, CANONICAL_ENCODER, CheckpointError,
                            ModelConfig, build_model, count_params, load_checkpoint,
                            save_checkpoint)
@@ -278,6 +279,19 @@ class TestCheckpoint:
         write_raw_checkpoint(path, cfg.q_order, entries + [entries[0]])
         with pytest.raises(CheckpointError, match="duplicate"):
             load_checkpoint(path, cfg)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(seed=1)[0], path)
+        before = path.read_bytes()
+        entries = model_mod._checkpoint_entries
+        # A non-ASCII name fails to encode after every real tensor is written.
+        monkeypatch.setattr(model_mod, "_checkpoint_entries",
+                            lambda m: entries(m) + [("b\u00e4d", np.zeros(3, np.float32))])
+        with pytest.raises(UnicodeEncodeError):
+            save_checkpoint(tiny_model(seed=2)[0], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_buffers_roundtrip(self, tmp_path):
         model, cfg = tiny_model(seed=12)

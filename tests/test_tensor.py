@@ -1,8 +1,11 @@
 """Engine tests: autodiff correctness against analytic and FD oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from osegnet import tensor as tensor_mod
 from osegnet.tensor import (ShapeError, Tensor, batchnorm, conv2d, conv2d_transpose,
                             finite_diff_grad, power_expand)
 
@@ -229,6 +232,96 @@ class TestConv2d:
                 return loss_of(trial).item()
             numeric = finite_diff_grad(f, t, 1e-2)
             assert rel_err(t.grad, numeric.data) < 1e-3, name
+
+
+class TestConv2dColumnBudget:
+    """conv2d lowers a batch whose im2col columns exceed COLS_BUDGET a chunk
+    of samples at a time; the chunked lowering must give the same bits."""
+
+    @staticmethod
+    def cols_bytes_per_sample(cin, k, y):
+        return 4 * cin * k * k * y.shape[2] * y.shape[3]
+
+    @staticmethod
+    def run(x0, k0, b0, g0, stride, padding):
+        x, kernel, bias = Tensor(x0), Tensor(k0), Tensor(b0)
+        y = conv2d(x, kernel, bias, stride=stride, padding=padding)
+        (y * Tensor(g0[:, :, :y.shape[2], :y.shape[3]])).sum().backward()
+        return {"y": y.data, "x": x.grad, "kernel": kernel.grad, "bias": bias.grad}
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_chunking_changes_no_bits(self, monkeypatch, stride, padding, chunk):
+        rng = np.random.default_rng(21)
+        x0 = rng.standard_normal((3, 4, 11, 9)).astype(np.float32)
+        k0 = rng.standard_normal((2, 4, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(2).astype(np.float32)
+        g0 = rng.standard_normal((3, 2, 11, 9)).astype(np.float32)
+        g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
+        whole = self.run(x0, k0, b0, g0, stride, padding)
+
+        chunks = []
+        lower = tensor_mod._conv_chunked
+
+        def spy(padded, w2, k, s, h_out, w_out, m):
+            chunks.append(m)
+            return lower(padded, w2, k, s, h_out, w_out, m)
+
+        per_sample = self.cols_bytes_per_sample(4, 3, whole["y"])
+        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", chunk * per_sample)
+        monkeypatch.setattr(tensor_mod, "_conv_chunked", spy)
+        chunked = self.run(x0, k0, b0, g0, stride, padding)
+        assert chunks == [chunk]  # 3 samples in chunks of 1+1+1 or 2+1
+        for name, arr in whole.items():
+            assert np.array_equal(chunked[name], arr), name
+            assert chunked[name].tobytes() == arr.tobytes(), name
+
+    def test_weight_gradient_adds_samples_in_batch_order(self, monkeypatch):
+        # A float64 sum of a few float32 products is exact, so it hides the
+        # order of the additions unless the terms span a wide range: here
+        # sample 2 cancels sample 0 and the small samples round against them.
+        rng = np.random.default_rng(23)
+        big = rng.standard_normal((1, 4, 8, 8)).astype(np.float32) * np.float32(1e12)
+        small = rng.standard_normal((3, 4, 8, 8)).astype(np.float32)
+        x0 = np.concatenate([big, small[:1], -big, small[1:]])
+        k0 = rng.standard_normal((2, 4, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(2).astype(np.float32)
+        g0 = rng.standard_normal((5, 2, 8, 8)).astype(np.float32)
+        g0[2] = g0[0]
+        whole = self.run(x0, k0, b0, g0, 1, "same")
+        per_sample = self.cols_bytes_per_sample(4, 3, whole["y"])
+        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 2 * per_sample)  # chunks 2+2+1
+        chunked = self.run(x0, k0, b0, g0, 1, "same")
+        assert chunked["kernel"].tobytes() == whole["kernel"].tobytes()
+
+    @staticmethod
+    def held_bytes(x, kernel):
+        """Bytes allocated by a conv2d forward that are still live after it."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = conv2d(x, kernel, stride=1, padding="same")
+            return tracemalloc.get_traced_memory()[0] - base, y
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("chunked", [True, False])
+    def test_columns_not_held_until_backward_when_chunked(self, monkeypatch, chunked):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((3, 4, 16, 16)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((2, 4, 3, 3)).astype(np.float32))
+        cols_bytes = 3 * 4 * 3 * 3 * 16 * 16 * 4
+        # One sample's columns per chunk, or a budget above the whole buffer.
+        budget = cols_bytes // 3 if chunked else 2 * cols_bytes
+        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", budget)
+        held, y = self.held_bytes(x, kernel)
+        if chunked:  # padded input and output only, less than one chunk's columns
+            assert held < cols_bytes // 3
+        else:  # negative control: the whole-batch lowering keeps its columns
+            assert held >= cols_bytes
+        y.sum().backward()
+        assert x.grad.any() and kernel.grad.any()
 
 
 class TestConvTranspose:
