@@ -21,10 +21,10 @@ from .data import (AugmentConfig, IndexFileError, PgmError, augment, load_index,
                    resize, sample_stream, save_pgm, synth_generate, to_bytes, to_unit)
 from .gradcheck import run_all
 from .losses import LossConfig, hybrid_loss
-from .metrics import (ConfusionCounts, confusion_table, detect_sample, format_percent,
-                      metrics_csv, metrics_from_confusion, pixel_confusion, sample_confusion)
-from .model import (CheckpointError, ModelConfig, build_model, count_params, load_checkpoint,
-                    save_checkpoint)
+from .metrics import (ConfusionCounts, confusion_table, format_percent, metrics_csv,
+                      metrics_from_confusion, pixel_confusion, sample_confusion)
+from .model import (CANONICAL_ENCODER, CheckpointError, ModelConfig, build_model, count_params,
+                    load_checkpoint, save_checkpoint)
 from .optim import Adam
 from .tensor import ShapeError, Tensor
 
@@ -33,7 +33,7 @@ from .tensor import ShapeError, Tensor
 class RunConfig:
     q_order: int = 3
     input_size: int = 224
-    encoder_channels: tuple = (16, 32, 64, 128, 256)
+    encoder_channels: tuple = CANONICAL_ENCODER
     lr: float = 1e-4
     epochs: int = 50
     batch_size: int = 4

@@ -146,7 +146,6 @@ def resize(image: np.ndarray, target: int, mode: str) -> np.ndarray:
 class AugmentConfig:
     max_rotation_deg: float = 10.0
     max_shift_frac: float = 0.10
-    fill: str = "nearest"
     enabled: bool = True
 
     def __post_init__(self):
@@ -154,8 +153,6 @@ class AugmentConfig:
             raise ValueError(f"max_rotation_deg must be >= 0, got {self.max_rotation_deg}")
         if not 0.0 <= self.max_shift_frac < 0.5:
             raise ValueError(f"max_shift_frac must be in [0, 0.5), got {self.max_shift_frac}")
-        if self.fill != "nearest":
-            raise ValueError(f"only 'nearest' edge fill is supported, got {self.fill!r}")
 
 
 def _sample_grid(image: np.ndarray, sy: np.ndarray, sx: np.ndarray, mode: str) -> np.ndarray:

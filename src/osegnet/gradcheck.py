@@ -3,7 +3,8 @@
 Isolated checks drive each differentiable building block (conv, operational
 layers across all polynomial orders, batchnorm, both losses) against central
 differences; the end-to-end check differentiates the hybrid loss of a tiny
-full model with respect to every parameter.
+full model with respect to every parameter. Both take their numeric
+gradients from ``tensor.finite_diff_grad``.
 
 Error metric: max|analytic - numeric| / max(max|numeric|, 0.01), i.e.
 error relative to the largest gradient magnitude, with an absolute floor for
@@ -239,21 +240,14 @@ def check_end_to_end(seed: int = 0, q_order: int = 2, size: int = 16,
         flat_idx = np.arange(t.size)
         if max_params is not None and t.size > max_params:
             flat_idx = np.random.default_rng([seed, 6]).choice(t.size, max_params, replace=False)
-        numeric = np.zeros(len(flat_idx), dtype=np.float64)
-        analytic_sel = analytic.reshape(-1)[flat_idx]
-        for j, i in enumerate(flat_idx):
-            for sign in (1.0, -1.0):
-                t.data.reshape(-1)[i] = original.reshape(-1)[i] + np.float32(sign * EPS_LINEAR)
-                val = loss_value().item()
-                if sign > 0:
-                    f_plus, x_plus = val, float(t.data.reshape(-1)[i])
-                else:
-                    f_minus, x_minus = val, float(t.data.reshape(-1)[i])
-            numeric[j] = (f_plus - f_minus) / (x_plus - x_minus)
-            t.data.reshape(-1)[i] = original.reshape(-1)[i]
+
+        def f(candidate, t=t):
+            t.data[...] = candidate.data
+            return loss_value().item()
+
+        numeric = finite_diff_grad(f, t, EPS_LINEAR, flat_idx).data.reshape(-1)[flat_idx]
         t.data[...] = original
-        scale = max(float(np.abs(numeric).max()), SCALE_FLOOR)
-        err = float(np.abs(analytic_sel - numeric).max()) / scale
+        err = rel_error(analytic.reshape(-1)[flat_idx], numeric)
         by_kind.setdefault(_param_kind(name), []).append((name, err))
 
     results = []

@@ -1,9 +1,10 @@
-"""Network layers: plain and operational convolutions, batch normalization.
+"""Network layers: operational convolutions and batch normalization.
 
 An operational layer generalizes a convolution by feeding it the first Q
 elementwise powers of each input channel, so every kernel tap learns the
 coefficients of a degree-Q polynomial in its input. Q=1 is exactly a plain
-convolution.
+convolution, so the encoder's strided convolutions are operational layers
+at Q=1.
 """
 
 from __future__ import annotations
@@ -16,29 +17,6 @@ from .tensor import Tensor, batchnorm, conv2d, conv2d_transpose, power_expand
 def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
-class Conv2DLayer:
-    """Strided 2-D convolution with bias; kernels (Cout, Cin, k, k)."""
-
-    def __init__(self, rng: np.random.Generator, in_channels: int, out_channels: int,
-                 kernel_size: int, stride: int = 1, padding: str = "same"):
-        k = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self.kernel = Tensor(glorot_uniform(rng, (out_channels, in_channels, k, k),
-                                            fan_in=k * k * in_channels,
-                                            fan_out=k * k * out_channels))
-        self.bias = Tensor(np.zeros(out_channels, dtype=np.float32))
-
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        return conv2d(x, self.kernel, self.bias, stride=self.stride, padding=self.padding)
-
-    def params(self):
-        return [("kernel", self.kernel), ("bias", self.bias)]
-
-    def buffers(self):
-        return []
 
 
 class Oper2DLayer:
@@ -61,15 +39,12 @@ class Oper2DLayer:
                                             fan_out=k * k * out_channels))
         self.bias = Tensor(np.zeros(out_channels, dtype=np.float32))
 
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return conv2d(power_expand(x, self.q_order), self.kernel, self.bias,
                       stride=self.stride, padding=self.padding)
 
     def params(self):
         return [("kernel", self.kernel), ("bias", self.bias)]
-
-    def buffers(self):
-        return []
 
 
 class Oper2DTransposeLayer:
@@ -87,15 +62,12 @@ class Oper2DTransposeLayer:
                                             fan_out=k * k * out_channels))
         self.bias = Tensor(np.zeros(out_channels, dtype=np.float32))
 
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return conv2d_transpose(power_expand(x, self.q_order), self.kernel, self.bias,
                                 stride=self.stride)
 
     def params(self):
         return [("kernel", self.kernel), ("bias", self.bias)]
-
-    def buffers(self):
-        return []
 
 
 class BatchNormLayer:

@@ -54,11 +54,6 @@ class MetricsReport:
     f2: float
     undefined: tuple = field(default_factory=tuple)
 
-    def as_dict(self) -> dict:
-        return {"sensitivity": self.sensitivity, "specificity": self.specificity,
-                "precision": self.precision, "accuracy": self.accuracy,
-                "f1": self.f1, "f2": self.f2}
-
 
 def fbeta(precision: float, sensitivity: float, beta: float) -> float:
     """Weighted harmonic mean of precision and sensitivity; 0 when both are 0."""

@@ -1,7 +1,8 @@
 """Model assembly: strided-conv encoder, operational decoder, checkpoints.
 
 The network is an autoencoder-shaped segmenter. The encoder halves the
-spatial extent at every stage and ends in tanh, so the decoder always sees
+spatial extent at every stage (an operational layer at Q=1, which is a
+plain strided convolution) and ends in tanh, so the decoder always sees
 features in [-1, 1] — the domain where polynomial nodal operators are well
 behaved. The decoder mirrors the encoder with x2 operational transpose
 blocks and finishes with a single-channel operational layer under sigmoid.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BatchNormLayer, Conv2DLayer, Oper2DLayer, Oper2DTransposeLayer
+from .layers import BatchNormLayer, Oper2DLayer, Oper2DTransposeLayer
 from .tensor import ShapeError, Tensor
 
 CANONICAL_ENCODER = (16, 32, 64, 128, 256)
@@ -46,7 +47,6 @@ class ModelConfig:
     input_size: int = 224
     encoder_channels: tuple = CANONICAL_ENCODER
     decoder_filters: tuple | None = None
-    final_filters: int = 1
     kernel_size: int = 3
 
     def __post_init__(self):
@@ -77,8 +77,6 @@ class ModelConfig:
                 f"encoder depth {self.depth}")
         if any(f < 1 for f in self.decoder_filters):
             raise ValueError(f"decoder_filters must be positive ints, got {self.decoder_filters!r}")
-        if self.final_filters != 1:
-            raise ValueError(f"final_filters is fixed at 1, got {self.final_filters!r}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be a positive odd int, got {self.kernel_size!r}")
         divisor = 2 ** self.depth
@@ -99,7 +97,7 @@ class OSegNetModel:
         self.encoder = []
         prev = 1
         for ch in config.encoder_channels:
-            conv = Conv2DLayer(rng, prev, ch, k, stride=2, padding="same")
+            conv = Oper2DLayer(rng, prev, ch, k, 1, stride=2, padding="same")
             self.encoder.append((conv, BatchNormLayer(ch)))
             prev = ch
 
@@ -109,7 +107,7 @@ class OSegNetModel:
             self.decoder.append((up, BatchNormLayer(f)))
             prev = f
 
-        self.final = Oper2DLayer(rng, prev, config.final_filters, k, q, stride=1, padding="same")
+        self.final = Oper2DLayer(rng, prev, 1, k, q, stride=1, padding="same")
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         size = self.config.input_size

@@ -46,7 +46,3 @@ class Adam:
             m_hat = m / bc1
             v_hat = v / bc2
             t.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(np.float32)
-
-    def zero_grad(self) -> None:
-        for t in self.params:
-            t.zero_grad()

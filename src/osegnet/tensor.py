@@ -597,18 +597,20 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     return out
 
 
-def finite_diff_grad(f, x: Tensor, eps: float) -> Tensor:
+def finite_diff_grad(f, x: Tensor, eps: float, indices=None) -> Tensor:
     """Central-difference gradient estimate of a scalar-valued f at x.
 
     Independent oracle for ``backward()``: perturbs one element at a time and
     never touches the autodiff machinery of the function under test.
+    ``indices`` names the flat indices to perturb, in order (None perturbs
+    every element); the estimate is 0 at the elements left out.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     base = x.data.copy()
     grad = np.zeros(base.shape, dtype=np.float64)
     flat = grad.reshape(-1)
-    for i in range(base.size):
+    for i in range(base.size) if indices is None else indices:
         plus = base.reshape(-1).copy()
         minus = base.reshape(-1).copy()
         plus[i] += np.float32(eps)

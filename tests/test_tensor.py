@@ -1,6 +1,7 @@
 """Engine tests: autodiff correctness against analytic and FD oracles."""
 
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -139,12 +140,44 @@ class TestFiniteDiff:
         n = finite_diff_grad(lambda t: t.tanh().sum().item(), Tensor([0.0]), 1e-3)
         assert abs(n.data[0] - 1.0) < 1e-4
 
+    def test_indices_perturb_only_those_elements_in_order(self):
+        x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3) / 10)
+        seen = []
+
+        def f(t):
+            seen.append(int(np.flatnonzero(t.data != x.data)[0]))
+            return float((t.data.astype(np.float64) ** 2).sum())
+
+        full = finite_diff_grad(f, x, 1e-3).data
+        seen.clear()
+        part = finite_diff_grad(f, x, 1e-3, indices=np.array([4, 1])).data
+        assert seen == [4, 4, 1, 1]
+        assert part.shape == x.shape
+        assert np.array_equal(part.reshape(-1)[[4, 1]], full.reshape(-1)[[4, 1]])
+        assert not np.delete(part.reshape(-1), [4, 1]).any()
+
+    def test_clip_gradient_is_zero_at_the_bounds(self):
+        x = Tensor([-0.5, 0.5, -0.7, 0.7, 0.0, 0.49])
+        x.clip(-0.5, 0.5).sum().backward()
+        assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "tanh", "sigmoid",
                                     "log", "clip", "pow2", "pow5", "pow_scalar",
                                     "sum", "mean"])
     def test_registered_ops_match_fd(self, op):
-        rng = np.random.default_rng(hash(op) % 2**32)
-        x = Tensor(rng.uniform(-1, 1, (3, 4)).astype(np.float32))
+        eps = 1e-3
+        # A stable seed per op: str hashes change from process to process.
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
+        data = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
+        if op == "clip":
+            # A central difference within eps of a kink at +-0.5 straddles it;
+            # move such elements 3*eps to the side of the kink they are on.
+            inside = np.abs(data) < 0.5
+            near = np.abs(np.abs(data) - 0.5) < 2 * eps
+            data = np.where(near, np.sign(data) * np.where(inside, 0.5 - 3 * eps, 0.5 + 3 * eps),
+                            data).astype(np.float32)
+            assert np.abs(np.abs(data) - 0.5).min() >= 2 * eps
+        x = Tensor(data)
         other = Tensor(rng.uniform(0.5, 1.5, (3, 4)).astype(np.float32))
         fns = {
             "add": lambda t: (t + other).sum(),
@@ -164,7 +197,7 @@ class TestFiniteDiff:
         fn = fns[op]
         loss = fn(x)
         loss.backward()
-        numeric = finite_diff_grad(lambda t: fn(t).item(), x, 1e-3)
+        numeric = finite_diff_grad(lambda t: fn(t).item(), x, eps)
         assert rel_err(x.grad, numeric.data) < 1e-3
 
 
