@@ -252,6 +252,7 @@ def cmd_eval(args) -> int:
                                            report.accuracy)]
         print("sensitivity specificity precision f1 f2 accuracy (%)")
         print(" ".join(row))
+        _print_undefined("sample", report)
         return 0
 
     records = [r for r in load_index(cfg.data_index) if r.split == "test"]
@@ -288,7 +289,15 @@ def cmd_eval(args) -> int:
           f"sensitivity = {format_percent(pixel_report.sensitivity)}%")
     print(f"sample   accuracy = {format_percent(sample_report.accuracy)}%  "
           f"sensitivity = {format_percent(sample_report.sensitivity)}%")
+    _print_undefined("pixel", pixel_report)
+    _print_undefined("sample", sample_report)
     return 0
+
+
+def _print_undefined(granularity: str, report) -> None:
+    """Name the metrics that read 0 only because their denominator was zero."""
+    if report.undefined:
+        print(f"{granularity:<9}undefined: {', '.join(report.undefined)}")
 
 
 def cmd_predict(args) -> int:

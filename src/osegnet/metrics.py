@@ -13,7 +13,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-CSV_HEADER = "granularity,tp,fp,tn,fn,sensitivity,specificity,precision,accuracy,f1,f2"
+CSV_HEADER = "granularity,tp,fp,tn,fn,sensitivity,specificity,precision,accuracy,f1,f2,undefined"
 
 
 @dataclass
@@ -155,10 +155,12 @@ def format_percent(fraction: float) -> str:
 
 
 def metrics_csv(counts: ConfusionCounts, report: MetricsReport) -> str:
-    """One-row CSV document of counts plus fractional metrics (6 decimals)."""
+    """One-row CSV document of counts, fractional metrics (6 decimals) and the
+    ``;``-joined names of the metrics whose denominator was zero."""
     row = [counts.granularity, str(counts.tp), str(counts.fp), str(counts.tn), str(counts.fn)]
     row += [f"{v:.6f}" for v in (report.sensitivity, report.specificity, report.precision,
                                  report.accuracy, report.f1, report.f2)]
+    row.append(";".join(report.undefined))
     return CSV_HEADER + "\n" + ",".join(row) + "\n"
 
 

@@ -3,6 +3,13 @@
 Moments are stored per parameter in registration order; updates are purely
 elementwise, so two optimizers fed identical gradient streams produce
 bit-identical trajectories.
+
+The update runs in place, ``BLOCK`` elements at a time, through two float32
+scratch vectors allocated once: a block's moments and temporaries stay in
+cache, and a step allocates no parameter-sized arrays. Each element sees the
+same float32 operations in the same order as the textbook expression
+``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the bits do not depend on
+the block size.
 """
 
 from __future__ import annotations
@@ -10,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import Tensor
+
+# Elements per pass of the update loop: 256 KiB per float32 block.
+BLOCK = 1 << 16
 
 
 class Adam:
@@ -26,6 +36,9 @@ class Adam:
         self.params: list[Tensor] = [t for _, t in named_params]
         self.m = [np.zeros_like(t.data) for t in self.params]
         self.v = [np.zeros_like(t.data) for t in self.params]
+        width = min(BLOCK, max((t.size for t in self.params), default=1))
+        self._a = np.empty(width, dtype=np.float32)
+        self._b = np.empty(width, dtype=np.float32)
 
     def step(self) -> None:
         """Apply one update from the gradients currently held by the parameters."""
@@ -35,14 +48,29 @@ class Adam:
                 raise FloatingPointError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         t_ = self.step_count
-        bc1 = 1.0 - self.beta1 ** t_
-        bc2 = 1.0 - self.beta2 ** t_
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1.0 - b1, 1.0 - b2
+        bc1 = 1.0 - b1 ** t_
+        bc2 = 1.0 - b2 ** t_
         for t, m, v in zip(self.params, self.m, self.v):
-            g = t.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            t.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(np.float32)
+            # Parameter, gradient and moment arrays are C-contiguous, so
+            # these flat reshapes are views.
+            p, g, m, v = t.data.reshape(-1), t.grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+            for lo in range(0, p.size, BLOCK):
+                hi = min(lo + BLOCK, p.size)
+                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+                a, b = self._a[:hi - lo], self._b[:hi - lo]
+                mb *= b1
+                np.multiply(gb, c1, out=a)
+                mb += a
+                vb *= b2
+                np.multiply(gb, gb, out=a)
+                a *= c2
+                vb += a
+                np.divide(mb, bc1, out=a)
+                a *= lr
+                np.divide(vb, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                p[lo:hi] -= a

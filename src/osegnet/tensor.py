@@ -15,6 +15,11 @@ of samples at a time through one reused buffer; backward keeps only the
 padded input and rebuilds each chunk's columns. Every sample goes through
 the same BLAS call either way and the float64 weight gradient adds samples
 in batch order, so chunking changes no bits.
+
+With one output channel the input gradient's columns are an outer product
+(inner dimension 1), so conv2d's backward skips them: it adds each tap's
+product straight into the padded gradient, in col2im's tap order, which
+gives col2im's bits without the column buffer.
 """
 
 from __future__ import annotations
@@ -345,6 +350,23 @@ def _col2im_add(buf: np.ndarray, cols: np.ndarray, k: int, stride: int,
                 kx:kx + (w_out - 1) * stride + 1:stride] += cols[:, :, ky, kx]
 
 
+def _taps_add(dpad: np.ndarray, w2: np.ndarray, g3: np.ndarray, k: int, stride: int,
+              h_out: int, w_out: int, tmp: np.ndarray) -> None:
+    """dpad += col2im(w2.T @ g3) for one output channel, without the columns.
+
+    w2: (1, C*k*k); g3: (N, 1, h_out*w_out); tmp: (N, C, h_out, w_out) scratch.
+    Each product is the single rounding the inner-dimension-1 matmul makes,
+    and the taps are added in _col2im_add's order.
+    """
+    w = w2.reshape(-1, k, k)
+    g = g3.reshape(-1, 1, h_out, w_out)
+    for ky in range(k):
+        for kx in range(k):
+            np.multiply(w[:, ky, kx, None, None], g, out=tmp)
+            dpad[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
+                 kx:kx + (w_out - 1) * stride + 1:stride] += tmp
+
+
 def _conv_geometry(h: int, w: int, k: int, stride: int, padding: str):
     if padding == "same":
         h_out, pt, pb = _same_pads(h, k, stride)
@@ -421,6 +443,11 @@ def _conv_whole(padded, w2, k, stride, h_out, w_out):
 
     def adjoint(g3):
         dw = np.matmul(g3, cols3.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+        if w2.shape[0] == 1:
+            dpad = np.zeros((n, c, h_pad, w_pad), dtype=np.float32)
+            tmp = np.empty((n, c, h_out, w_out), dtype=np.float32)
+            _taps_add(dpad, w2, g3, k, stride, h_out, w_out, tmp)
+            return dw, dpad
         dcols = np.matmul(w2.T, g3).reshape(n, c, k, k, h_out, w_out)
         return dw, _col2im(dcols, n, c, h_pad, w_pad, k, stride, h_out, w_out)
 
@@ -447,7 +474,8 @@ def _conv_chunked(padded, w2, k, stride, h_out, w_out, m):
 
     def adjoint(g3):
         buf = np.empty((m, c, k, k, h_out, w_out), dtype=np.float32)
-        dbuf = np.empty_like(buf)
+        one_out = w2.shape[0] == 1
+        dbuf = np.empty((m, c, h_out, w_out) if one_out else buf.shape, dtype=np.float32)
         dpad = np.zeros_like(padded)
         dw = None
         for i, r in chunks:
@@ -458,8 +486,11 @@ def _conv_chunked(padded, w2, k, stride, h_out, w_out, m):
             else:
                 for sample in part:
                     dw += sample
-            np.matmul(w2.T, g3[i:i + r], out=dbuf[:r].reshape(r, rows, hw))
-            _col2im_add(dpad[i:i + r], dbuf[:r], k, stride, h_out, w_out)
+            if one_out:
+                _taps_add(dpad[i:i + r], w2, g3[i:i + r], k, stride, h_out, w_out, dbuf[:r])
+            else:
+                np.matmul(w2.T, g3[i:i + r], out=dbuf[:r].reshape(r, rows, hw))
+                _col2im_add(dpad[i:i + r], dbuf[:r], k, stride, h_out, w_out)
         return dw, dpad
 
     return y, adjoint

@@ -157,9 +157,13 @@ class TestEvalCommand:
         assert pixel[0] == "pixel" and sample[0] == "sample"
         assert float(pixel[9]) == 1.0   # f1
         assert float(sample[8]) == 1.0  # accuracy
+        assert pixel[11] == ""  # no pixel metric undefined
+        # Both test samples have a lesion, so sample specificity is 0/0.
+        assert (sample[2], sample[3], sample[11]) == ("0", "0", "specificity")
         stdout = capsys.readouterr().out
         assert "actual positive" in stdout
         assert "f1 = 100.00%" in stdout
+        assert "pixel    undefined" not in stdout
 
     def test_zero_predictor_has_zero_sensitivity(self, dataset, tmp_path, capsys):
         out = tmp_path / "ev"
@@ -169,6 +173,9 @@ class TestEvalCommand:
         pixel = (out / "metrics_pixel.csv").read_text().splitlines()[1].split(",")
         assert float(pixel[5]) == 0.0  # sensitivity
         assert float(pixel[6]) == 1.0  # specificity
+        assert float(pixel[7]) == 0.0  # precision, 0/0 ...
+        assert pixel[11].split(";") == ["precision"]  # ... and flagged
+        assert "pixel    undefined: precision\n" in capsys.readouterr().out
 
     def test_counts_injection_reproduces_published_row(self, tmp_path, capsys):
         out = tmp_path / "ev"

@@ -222,7 +222,15 @@ class TestFormatting:
         cells = lines[1].split(",")
         assert cells[0] == "pixel"
         assert [int(v) for v in cells[1:5]] == [2, 1, 3, 0]
-        assert all(len(v.split(".")[1]) == 6 for v in cells[5:])
+        assert all(len(v.split(".")[1]) == 6 for v in cells[5:11])
+        assert cells[11] == ""
+
+    def test_csv_flags_undefined_metrics(self):
+        c = ConfusionCounts(tp=0, fp=0, tn=5, fn=0)
+        header, row = metrics_csv(c, metrics_from_confusion(c)).strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["undefined"] == "sensitivity;precision"
+        assert cells["precision"] == "0.000000"
 
     def test_csv_fraction_roundtrip(self):
         c = ConfusionCounts(tp=2057, fp=40, tn=25556, fn=56, granularity="sample")

@@ -1,8 +1,11 @@
 """Optimizer tests: Adam update rule against a hand-stepped recurrence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from osegnet import optim as optim_mod
 from osegnet.optim import Adam
 from osegnet.tensor import Tensor
 
@@ -113,3 +116,61 @@ class TestAdam:
     def test_default_hyperparameters(self):
         opt = Adam([("x", Tensor([1.0]))])
         assert (opt.lr, opt.beta1, opt.beta2, opt.eps) == (1e-4, 0.9, 0.999, 1e-7)
+
+
+def out_of_place_adam_step(params, ms, vs, step, lr, b1=0.9, b2=0.999, eps=1e-7):
+    """Reference: the textbook update with a fresh array per subexpression."""
+    bc1 = 1.0 - b1 ** step
+    bc2 = 1.0 - b2 ** step
+    for t, m, v in zip(params, ms, vs):
+        g = t.grad
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        t.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(np.float32)
+
+
+class TestBlockedAdam:
+    """Adam updates in place, BLOCK elements at a time; it must give the bits
+    of the out-of-place update and allocate no parameter-sized arrays."""
+
+    def test_same_bits_as_out_of_place_update(self):
+        block = optim_mod.BLOCK
+        shapes = [(block + 17,), (3 * block,), (1,), (16, 24, 3, 3)]
+        rng = np.random.default_rng(41)
+        start = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        params = [Tensor(a) for a in start]
+        ref = [Tensor(a) for a in start]
+        opt = Adam([(f"p{i}", t) for i, t in enumerate(params)], lr=3e-3)
+        ms = [np.zeros_like(a) for a in start]
+        vs = [np.zeros_like(a) for a in start]
+        for step in range(1, 31):
+            for t, r in zip(params, ref):
+                g = rng.standard_normal(t.shape).astype(np.float32)
+                g *= np.float32(10.0) ** rng.integers(-6, 4, t.shape).astype(np.float32)
+                g[rng.random(t.shape) < 0.1] = 0.0  # exact zeros
+                t.grad[...] = g
+                r.grad[...] = g
+            opt.step()
+            out_of_place_adam_step(ref, ms, vs, step, lr=3e-3)
+        for i, (t, r) in enumerate(zip(params, ref)):
+            assert t.data.tobytes() == r.data.tobytes(), i
+            assert opt.m[i].tobytes() == ms[i].tobytes(), i
+            assert opt.v[i].tobytes() == vs[i].tobytes(), i
+
+    def test_step_allocates_less_than_the_parameter(self):
+        x = Tensor(np.random.default_rng(42).standard_normal(1 << 20).astype(np.float32))
+        opt = Adam([("x", x)], lr=1e-3)
+        x.grad[...] = 0.5
+        opt.step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes

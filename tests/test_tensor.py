@@ -357,6 +357,83 @@ class TestConv2dColumnBudget:
         assert x.grad.any() and kernel.grad.any()
 
 
+def column_taps_add(dpad, w2, g3, k, stride, h_out, w_out, tmp):
+    """Reference for _taps_add: the column form it replaces, a matmul with
+    inner dimension 1 whose columns are then col2im-added into dpad."""
+    n, c = dpad.shape[:2]
+    dcols = np.matmul(w2.T, g3.reshape(n, 1, h_out * w_out)).reshape(n, c, k, k, h_out, w_out)
+    tensor_mod._col2im_add(dpad, dcols, k, stride, h_out, w_out)
+
+
+class TestOneOutputChannelBackward:
+    """With one output channel, conv2d's backward adds each tap's product
+    straight into the padded input gradient instead of building its columns;
+    it must give the bits of the column form, whole and chunked."""
+
+    @staticmethod
+    def grads(monkeypatch, x0, k0, b0, g0, stride, padding, taps_add):
+        calls = []
+
+        def spy(dpad, *args):
+            calls.append(dpad.shape[0])
+            taps_add(dpad, *args)
+
+        monkeypatch.setattr(tensor_mod, "_taps_add", spy)
+        out = TestConv2dColumnBudget.run(x0, k0, b0, g0, stride, padding)
+        return out, calls
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_same_bits_as_the_column_form(self, monkeypatch, stride, padding, chunked):
+        rng = np.random.default_rng(31)
+        x0 = rng.standard_normal((3, 5, 11, 9)).astype(np.float32)
+        k0 = rng.standard_normal((1, 5, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(1).astype(np.float32)
+        g0 = rng.standard_normal((3, 1, 11, 9)).astype(np.float32)
+        g0[..., ::3] = 0.0  # exact zeros; their products with negative taps are -0.0
+        if chunked:  # one sample's columns per chunk
+            y = conv2d(Tensor(x0), Tensor(k0), stride=stride, padding=padding)
+            per_sample = TestConv2dColumnBudget.cols_bytes_per_sample(5, 3, y)
+            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", per_sample)
+        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, stride, padding,
+                                tensor_mod._taps_add)
+        assert calls == ([1, 1, 1] if chunked else [3])  # the column-free path ran
+        ref, _ = self.grads(monkeypatch, x0, k0, b0, g0, stride, padding, column_taps_add)
+        for name in ("y", "x", "kernel", "bias"):
+            assert new[name].tobytes() == ref[name].tobytes(), name
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_taps_add_in_column_order(self, monkeypatch, chunked):
+        # Float32 adds of like-sized terms rarely depend on their order. Here
+        # the first two taps are +-1e12 and the gradient is constant along
+        # rows, so in tap order they cancel exactly and keep the small taps'
+        # sum; added in another order, the big terms swamp the small ones.
+        rng = np.random.default_rng(32)
+        x0 = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        k0 = rng.standard_normal((1, 3, 3, 3)).astype(np.float32)
+        k0[0, :, 0, 0] = np.float32(1e12)
+        k0[0, :, 0, 1] = np.float32(-1e12)
+        b0 = np.zeros(1, np.float32)
+        g0 = np.repeat(rng.standard_normal((2, 1, 8, 1)).astype(np.float32), 8, axis=3)
+        if chunked:
+            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 4 * 3 * 9 * 64)
+        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, 1, "same", tensor_mod._taps_add)
+        assert calls == ([1, 1] if chunked else [2])
+        ref, _ = self.grads(monkeypatch, x0, k0, b0, g0, 1, "same", column_taps_add)
+        assert np.median(np.abs(ref["x"])) < 1e3  # the big taps cancelled off the edges
+        assert new["x"].tobytes() == ref["x"].tobytes()
+
+    def test_more_output_channels_keep_the_columns(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        calls = []
+        monkeypatch.setattr(tensor_mod, "_taps_add", lambda *args: calls.append(args))
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((2, 3, 3, 3)).astype(np.float32))
+        conv2d(x, kernel).sum().backward()
+        assert calls == [] and x.grad.any()
+
+
 class TestConvTranspose:
     def test_single_pixel_scatter(self):
         x = Tensor(np.full((1, 1, 1, 1), 5.0, dtype=np.float32))
