@@ -16,7 +16,7 @@ from .tensor import Tensor, batchnorm, conv2d, conv2d_transpose, power_expand
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32, copy=False)
 
 
 class Oper2DLayer:

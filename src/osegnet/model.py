@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import BatchNormLayer, Oper2DLayer, Oper2DTransposeLayer
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, no_graph
 
 CANONICAL_ENCODER = (16, 32, 64, 128, 256)
 CANONICAL_DECODER = (128, 64, 32, 16, 8)
@@ -110,6 +110,12 @@ class OSegNetModel:
         self.final = Oper2DLayer(rng, prev, 1, k, q, stride=1, padding="same")
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
+        """Run the network; inference (``training=False``) records no graph.
+
+        Training normalizes with batch statistics and builds the autodiff
+        graph. Inference uses the running statistics under ``no_graph()``:
+        the output has no parents, so ``backward()`` through it raises.
+        """
         size = self.config.input_size
         if x.data.ndim != 4 or x.shape[1] != 1:
             raise ShapeError(f"expected a N x 1 x H x W batch, got shape {x.shape}")
@@ -117,12 +123,13 @@ class OSegNetModel:
             raise ShapeError(
                 f"expected {size}x{size} input (configured input_size), got "
                 f"{x.shape[2]}x{x.shape[3]}")
-        h = x
-        for conv, bn in self.encoder:
-            h = bn(conv(h), training).tanh()
-        for up, bn in self.decoder:
-            h = bn(up(h), training).tanh()
-        return self.final(h).sigmoid()
+        with contextlib.nullcontext() if training else no_graph():
+            h = x
+            for conv, bn in self.encoder:
+                h = bn(conv(h), training).tanh()
+            for up, bn in self.decoder:
+                h = bn(up(h), training).tanh()
+            return self.final(h).sigmoid()
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         return self.forward(x, training)
@@ -230,13 +237,28 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+class _NoDraw:
+    """Stands in for the rng of a model whose parameters are all about to be overwritten.
+
+    glorot_uniform keeps a float32 draw as it is, so each kernel stays an
+    untouched np.empty buffer until the checkpoint's values are copied in.
+    """
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size, dtype=np.float32)
+
+
 def load_checkpoint(path, config: ModelConfig) -> OSegNetModel:
     """Rebuild a model from a checkpoint, validating against the given config.
 
     The header is checked before the model is built, so a corrupt file is
-    rejected without allocating parameters. Shape conflicts (including a
-    q_order disagreement, which changes operational kernel widths) are
-    reported against the first offending tensor in model order.
+    rejected without allocating parameters. The model is built without
+    drawing initial weights, since every tensor is then read from the file,
+    and without gradient buffers: its parameters get them from
+    ``zero_grad()`` or ``backward()``, as training needs. Shape conflicts
+    (including a q_order disagreement, which changes operational kernel
+    widths) are reported against the first offending tensor in model order.
     """
     stored = {}
     order = []
@@ -264,7 +286,8 @@ def load_checkpoint(path, config: ModelConfig) -> OSegNetModel:
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last declared tensor")
 
-    model = build_model(config, np.random.default_rng(0))
+    with no_graph():
+        model = OSegNetModel(config, _NoDraw())
     expected = _checkpoint_entries(model)
     for name, arr in expected:
         if name not in stored:

@@ -9,7 +9,8 @@ scratch vectors allocated once: a block's moments and temporaries stay in
 cache, and a step allocates no parameter-sized arrays. Each element sees the
 same float32 operations in the same order as the textbook expression
 ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the bits do not depend on
-the block size.
+the block size. The non-finite check before the update runs through the
+same scratch, a block at a time.
 """
 
 from __future__ import annotations
@@ -40,11 +41,24 @@ class Adam:
         self._a = np.empty(width, dtype=np.float32)
         self._b = np.empty(width, dtype=np.float32)
 
+    def _finite(self, g: np.ndarray) -> bool:
+        """True if every element of the flat g is finite.
+
+        Checked a block at a time into the float32 scratch viewed as bools,
+        so the check allocates no gradient-sized mask.
+        """
+        mask = self._a.view(np.bool_)
+        for lo in range(0, g.size, BLOCK):
+            m = mask[:min(BLOCK, g.size - lo)]
+            np.isfinite(g[lo:lo + m.size], out=m)
+            if not m.all():
+                return False
+        return True
+
     def step(self) -> None:
         """Apply one update from the gradients currently held by the parameters."""
         for name, t in zip(self.names, self.params):
-            g = t.grad
-            if g is None or not np.all(np.isfinite(g)):
+            if t.grad is None or not self._finite(t.grad.reshape(-1)):
                 raise FloatingPointError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         t_ = self.step_count

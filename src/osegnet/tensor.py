@@ -20,14 +20,24 @@ With one output channel the input gradient's columns are an outer product
 (inner dimension 1), so conv2d's backward skips them: it adds each tap's
 product straight into the padded gradient, in col2im's tap order, which
 gives col2im's bits without the column buffer.
+
+Inside ``no_graph()`` (what ``OSegNetModel.forward(training=False)`` runs
+under) ops compute the same values but record no graph: each output keeps no
+parents, no backward closure and no gradient buffer, so the columns and other
+buffers a closure would capture are freed as soon as the op returns.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
 # Most bytes of im2col columns one conv2d call builds at a time.
 COLS_BUDGET = 16 << 20
+
+# False inside no_graph(): ops then build graph-free (inference) nodes.
+_recording = True
 
 
 class ShapeError(ValueError):
@@ -48,26 +58,47 @@ def _accumulate(node: "Tensor", grad: np.ndarray) -> None:
         node.grad += grad
 
 
+@contextlib.contextmanager
+def no_graph():
+    """Run ops without recording a graph; the previous state returns on exit, raised or not."""
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 class Tensor:
     """A float32 array plus the bookkeeping needed for backpropagation.
 
-    Leaf tensors (inputs and parameters) start with a zero gradient buffer;
-    intermediate nodes get theirs lazily during ``backward()``. Data buffers
-    are treated as immutable once an op has consumed them, with two sanctioned
-    exceptions: the optimizer updates parameter ``.data`` between steps, and
-    ``.grad`` is written during backward.
+    Leaf tensors (inputs and parameters, op ``"leaf"``) start with a zero
+    gradient buffer; intermediate nodes get theirs lazily during
+    ``backward()``. Inside ``no_graph()`` a leaf gets no gradient buffer,
+    and an op makes an inference node: it keeps its op name but no parents,
+    no backward closure and no gradient buffer, and ``backward()`` refuses
+    to walk through it. Data buffers are treated as immutable once an op
+    has consumed them, with two sanctioned exceptions: the optimizer updates
+    parameter ``.data`` between steps, and ``.grad`` is written during
+    backward.
     """
 
     __slots__ = ("data", "grad", "_parents", "_op", "_backward_fn")
 
     def __init__(self, data, parents=(), op="leaf", backward_fn=None):
         self.data = _as_f32(data)
-        self._parents = tuple(parents)
         self._op = op
-        self._backward_fn = backward_fn
-        # Leaves get a zero grad up front so an unused parameter reads as
-        # gradient zero without a reachability check.
-        self.grad = np.zeros_like(self.data) if not self._parents else None
+        if _recording:
+            self._parents = tuple(parents)
+            self._backward_fn = backward_fn
+            # Leaves get a zero grad up front so an unused parameter reads as
+            # gradient zero without a reachability check.
+            self.grad = np.zeros_like(self.data) if not self._parents else None
+        else:
+            self._parents = ()
+            self._backward_fn = None
+            self.grad = None
 
     @property
     def shape(self) -> tuple:
@@ -109,6 +140,10 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if not node._parents and node._op != "leaf":
+                raise RuntimeError(
+                    f"backward() reached a {node._op!r} node built in inference mode, which "
+                    f"records no graph; run forward(training=True) to backpropagate")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -144,37 +179,30 @@ class Tensor:
     def __add__(self, other):
         other = Tensor._lift(other)
         Tensor._check_elementwise(self, other, "add")
-        out = Tensor(self.data + other.data, (self, other), "add")
 
         def bwd(g):
             _accumulate(self, Tensor._reduce_to(g, self.shape))
             _accumulate(other, Tensor._reduce_to(g, other.shape))
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(self.data + other.data, (self, other), "add", bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,), "neg")
-
         def bwd(g):
             _accumulate(self, -g)
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(-self.data, (self,), "neg", bwd)
 
     def __sub__(self, other):
         other = Tensor._lift(other)
         Tensor._check_elementwise(self, other, "sub")
-        out = Tensor(self.data - other.data, (self, other), "sub")
 
         def bwd(g):
             _accumulate(self, Tensor._reduce_to(g, self.shape))
             _accumulate(other, Tensor._reduce_to(-g, other.shape))
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(self.data - other.data, (self, other), "sub", bwd)
 
     def __rsub__(self, other):
         return Tensor._lift(other) - self
@@ -182,28 +210,24 @@ class Tensor:
     def __mul__(self, other):
         other = Tensor._lift(other)
         Tensor._check_elementwise(self, other, "mul")
-        out = Tensor(self.data * other.data, (self, other), "mul")
 
         def bwd(g):
             _accumulate(self, Tensor._reduce_to(g * other.data, self.shape))
             _accumulate(other, Tensor._reduce_to(g * self.data, other.shape))
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(self.data * other.data, (self, other), "mul", bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor._lift(other)
         Tensor._check_elementwise(self, other, "div")
-        out = Tensor(self.data / other.data, (self, other), "div")
 
         def bwd(g):
             _accumulate(self, Tensor._reduce_to(g / other.data, self.shape))
             _accumulate(other, Tensor._reduce_to(-g * self.data / (other.data * other.data), other.shape))
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(self.data / other.data, (self, other), "div", bwd)
 
     def __rtruediv__(self, other):
         return Tensor._lift(other) / self
@@ -218,7 +242,6 @@ class Tensor:
         if not isinstance(q, (int, np.integer)) or q < 1:
             raise ValueError(f"pow_int requires an integer power >= 1, got {q!r}")
         q = int(q)
-        out = Tensor(self.data ** q, (self,), f"pow{q}")
 
         def bwd(g):
             if q == 1:
@@ -226,44 +249,34 @@ class Tensor:
             else:
                 _accumulate(self, g * (q * self.data ** (q - 1)))
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(self.data ** q, (self,), f"pow{q}", bwd)
 
     def pow_scalar(self, p: float) -> "Tensor":
         """Elementwise real power for strictly positive inputs."""
-        out = Tensor(self.data ** np.float32(p), (self,), f"pow{p}")
-
         def bwd(g):
             _accumulate(self, g * (np.float32(p) * self.data ** np.float32(p - 1.0)))
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(self.data ** np.float32(p), (self,), f"pow{p}", bwd)
 
     def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), (self,), "log")
-
         def bwd(g):
             _accumulate(self, g / self.data)
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(np.log(self.data), (self,), "log", bwd)
 
     def clip(self, lo: float, hi: float) -> "Tensor":
         """Clamp values into [lo, hi]; gradient flows only strictly inside."""
-        out = Tensor(np.clip(self.data, lo, hi), (self,), "clip")
         mask = ((self.data > lo) & (self.data < hi)).astype(np.float32)
 
         def bwd(g):
             _accumulate(self, g * mask)
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(np.clip(self.data, lo, hi), (self,), "clip", bwd)
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None) -> "Tensor":
         value = self.data.sum(axis=axis, dtype=np.float64)
-        out = Tensor(np.asarray(value, dtype=np.float32), (self,), "sum")
 
         def bwd(g):
             if axis is None:
@@ -273,8 +286,7 @@ class Tensor:
                 expanded = np.expand_dims(g, axes)
                 _accumulate(self, np.broadcast_to(expanded, self.shape))
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(np.asarray(value, dtype=np.float32), (self,), "sum", bwd)
 
     def mean(self, axis=None) -> "Tensor":
         if axis is None:
@@ -288,26 +300,22 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         y = np.tanh(self.data)
-        out = Tensor(y, (self,), "tanh")
 
         def bwd(g):
             _accumulate(self, g * (1.0 - y * y))
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(y, (self,), "tanh", bwd)
 
     def sigmoid(self) -> "Tensor":
         x = self.data
         # Piecewise form avoids exp overflow for large |x|.
         y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(np.float32)
-        out = Tensor(y, (self,), "sigmoid")
 
         def bwd(g):
             _accumulate(self, g * (y * (1.0 - y)))
 
-        out._backward_fn = bwd
-        return out
+        return Tensor(y, (self,), "sigmoid", bwd)
 
 
 # -- convolution kernels ------------------------------------------------------
@@ -419,7 +427,6 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         y = y + bias.data.reshape(1, cout, 1, 1)
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
-    out = Tensor(y, parents, "conv2d")
 
     def bwd(g):
         dw, dpad = adjoint(g.reshape(n, cout, h_out * w_out))
@@ -428,8 +435,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
             _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
         _accumulate(x, dpad[:, :, pt:pt + h, pl:pl + w])
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(y, parents, "conv2d", bwd)
 
 
 def _conv_whole(padded, w2, k, stride, h_out, w_out):
@@ -533,7 +539,6 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         y = y + bias.data.reshape(1, cout, 1, 1)
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
-    out = Tensor(y, parents, "conv2d_transpose")
 
     def bwd(g):
         gp = np.pad(g, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
@@ -544,8 +549,7 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(y, parents, "conv2d_transpose", bwd)
 
 
 def power_expand(x: Tensor, q_order: int) -> Tensor:
@@ -567,7 +571,6 @@ def power_expand(x: Tensor, q_order: int) -> Tensor:
     pows[:, :, 0] = x.data
     for q in range(1, q_order):
         pows[:, :, q] = pows[:, :, q - 1] * x.data
-    out = Tensor(pows.reshape(n, c * q_order, h, w), (x,), "power_expand")
 
     def bwd(g):
         g5 = g.reshape(n, c, q_order, h, w)
@@ -576,8 +579,7 @@ def power_expand(x: Tensor, q_order: int) -> Tensor:
             dx += (q + 1) * pows[:, :, q - 1] * g5[:, :, q]
         _accumulate(x, dx)
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(pows.reshape(n, c * q_order, h, w), (x,), "power_expand", bwd)
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -587,7 +589,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Training mode normalizes with batch statistics (biased variance) and
     updates the running buffers in place; inference mode uses the running
-    statistics only. Zero-variance batches are handled by the eps floor.
+    statistics only and returns a graph-free node, as inside ``no_graph()``.
+    Zero-variance batches are handled by the eps floor.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm expects a 4-D tensor, got {x.shape}")
@@ -595,7 +598,6 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm: gamma/beta shape must be ({c},), got {gamma.shape}/{beta.shape}")
     axes = (0, 2, 3)
-    m = x.shape[0] * x.shape[2] * x.shape[3]
 
     if training:
         mu = x.data.mean(axis=axes, dtype=np.float64)
@@ -611,21 +613,19 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     inv = (1.0 / np.sqrt(var + eps)).astype(np.float32).reshape(1, c, 1, 1)
     xhat = (x.data - mu.astype(np.float32).reshape(1, c, 1, 1)) * inv
     y = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
-    out = Tensor(y, (x, gamma, beta), "batchnorm")
+    if not training:
+        with no_graph():
+            return Tensor(y, (x, gamma, beta), "batchnorm")
 
     def bwd(g):
         _accumulate(gamma, (g * xhat).sum(axis=axes, dtype=np.float64).astype(np.float32))
         _accumulate(beta, g.sum(axis=axes, dtype=np.float64).astype(np.float32))
         gs = g * gamma.data.reshape(1, c, 1, 1)
-        if training:
-            mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
-            mean_gs_xhat = (gs * xhat).mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
-            _accumulate(x, inv * (gs - mean_gs - xhat * mean_gs_xhat))
-        else:
-            _accumulate(x, inv * gs)
+        mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
+        mean_gs_xhat = (gs * xhat).mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
+        _accumulate(x, inv * (gs - mean_gs - xhat * mean_gs_xhat))
 
-    out._backward_fn = bwd
-    return out
+    return Tensor(y, (x, gamma, beta), "batchnorm", bwd)
 
 
 def finite_diff_grad(f, x: Tensor, eps: float, indices=None) -> Tensor:

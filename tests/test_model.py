@@ -3,6 +3,7 @@ checkpoint format round-trips and corruption diagnostics."""
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from osegnet import model as model_mod
 from osegnet.model import (CANONICAL_DECODER, CANONICAL_ENCODER, CheckpointError,
                            ModelConfig, OSegNetModel, build_model, count_params,
                            load_checkpoint, save_checkpoint)
+from osegnet.optim import Adam
 from osegnet.tensor import ShapeError, Tensor
 
 TINY = dict(q_order=2, input_size=16, encoder_channels=(2, 3), decoder_filters=(3, 2))
@@ -222,6 +224,23 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, cfg)
         assert np.array_equal(loaded(x).data, before)
 
+    def test_loaded_model_trains_like_the_saved_one(self, tmp_path):
+        # load_checkpoint builds its model without gradient buffers; a
+        # training step must still give the saved model's bytes.
+        model, cfg = tiny_model(seed=14)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path, cfg)
+        x = Tensor(np.random.default_rng(15).uniform(0, 1, (2, 1, 16, 16)).astype(np.float32))
+        for m in (model, loaded):
+            opt = Adam(m.named_parameters(), lr=1e-3)
+            m.zero_grad()
+            m(x, training=True).mean().backward()
+            opt.step()
+        for (n, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), n
+            assert a.grad.tobytes() == b.grad.tobytes(), n
+
     def test_independent_writer_is_loadable(self, tmp_path):
         model, cfg = tiny_model(seed=11)
         path = tmp_path / "raw.ckpt"
@@ -322,3 +341,119 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, cfg)
         for (n, a), (_, b) in zip(model.named_buffers(), loaded.named_buffers()):
             assert np.array_equal(a, b), n
+
+
+def graph_nodes(node):
+    """Nodes reachable from node through parents, node included."""
+    seen = {id(node)}
+    stack = [node]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def canonical_32(q=3):
+    return OSegNetModel(ModelConfig(q_order=q, input_size=32), np.random.default_rng(0))
+
+
+def set_running_stats(model, rng):
+    for name, arr in model.named_buffers():
+        if name.endswith("running_mean"):
+            arr[...] = rng.uniform(-0.3, 0.3, arr.shape)
+        else:
+            arr[...] = rng.uniform(0.2, 2.0, arr.shape)
+
+
+def training_grads(model, x):
+    """Bytes of every parameter gradient after one training step's backward."""
+    out = model(x, training=True)
+    nodes = graph_nodes(out)
+    model.zero_grad()
+    out.mean().backward()
+    return nodes, [t.grad.tobytes() for t in model.parameters()]
+
+
+# sha256 of a fresh canonical 32 px model's inference output (seed 0, running
+# statistics and a batch of two from default_rng(23)). Inference records no
+# graph but computes the same arithmetic, so these match the graph-building
+# forward bit for bit.
+INFERENCE_SHA256 = {
+    1: "20203fd08511db624b9d9c00f8383b5ab446288a59419a662ebc717c3ae8feb0",
+    3: "0c0de8052735aab106bee6e56886e57d0202f33e6e161708851ab1cdfa41aa0d",
+}
+
+
+class TestInferenceMode:
+    """forward(training=False) builds no autodiff graph."""
+
+    @pytest.mark.parametrize("q", sorted(INFERENCE_SHA256))
+    def test_inference_output_golden_bytes(self, q):
+        model = canonical_32(q)
+        rng = np.random.default_rng(23)
+        set_running_stats(model, rng)
+        x = Tensor(rng.uniform(0, 1, (2, 1, 32, 32)).astype(np.float32))
+        out = model(x, training=False)
+        assert hashlib.sha256(out.data.tobytes()).hexdigest() == INFERENCE_SHA256[q]
+
+    def test_output_has_no_graph_and_backward_raises(self):
+        model = canonical_32()
+        x = Tensor(np.random.default_rng(24).uniform(0, 1, (2, 1, 32, 32)).astype(np.float32))
+        training_grads(model, x)  # non-zero gradients to watch
+        before = [t.grad.tobytes() for t in model.parameters()]
+        out = model(x, training=False)
+        assert out._parents == () and out._backward_fn is None and out.grad is None
+        assert graph_nodes(out) == 1
+        with pytest.raises(RuntimeError, match="inference mode"):
+            out.mean().backward()
+        assert [t.grad.tobytes() for t in model.parameters()] == before
+
+    def test_training_after_inference_builds_the_full_graph(self):
+        x = Tensor(np.random.default_rng(25).uniform(0, 1, (2, 1, 32, 32)).astype(np.float32))
+        fresh_nodes, fresh = training_grads(canonical_32(), x)
+        model = canonical_32()
+        model(x, training=False)
+        nodes, grads = training_grads(model, x)
+        assert nodes == fresh_nodes == 81
+        assert grads == fresh
+
+    def test_training_after_a_failed_inference_builds_the_full_graph(self, monkeypatch):
+        x = Tensor(np.random.default_rng(25).uniform(0, 1, (2, 1, 32, 32)).astype(np.float32))
+        fresh_nodes, fresh = training_grads(canonical_32(), x)
+        model = canonical_32()
+        up, bn = model.decoder[2]
+
+        def broken(h):
+            raise FloatingPointError("decoder block 3 failed")
+
+        monkeypatch.setattr(model, "decoder", [*model.decoder[:2], (broken, bn), *model.decoder[3:]])
+        with pytest.raises(FloatingPointError, match="block 3"):
+            model(x, training=False)
+        monkeypatch.undo()
+        assert model.decoder[2] == (up, bn)
+        nodes, grads = training_grads(model, x)
+        assert nodes == fresh_nodes == 81
+        assert grads == fresh
+
+    def test_inference_holds_no_buffers_after_the_call(self):
+        # Training keeps every column buffer alive through the graph; the
+        # negative control shows the probe sees them.
+        model = OSegNetModel(ModelConfig(q_order=3, input_size=224), np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(26).uniform(0, 1, (1, 1, 224, 224)).astype(np.float32))
+
+        def live_after(training):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = model(x, training=training)
+                return tracemalloc.get_traced_memory()[0] - base, out
+            finally:
+                tracemalloc.stop()
+
+        held, out = live_after(False)
+        assert held < 1 << 20, held
+        del out
+        held, out = live_after(True)
+        assert held > 20 << 20, held

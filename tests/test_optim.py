@@ -174,3 +174,37 @@ class TestBlockedAdam:
         finally:
             tracemalloc.stop()
         assert peak < x.data.nbytes
+
+    def test_step_peak_is_below_one_block(self):
+        # The non-finite check runs through the scratch too, so no
+        # gradient-sized mask is allocated.
+        x = Tensor(np.random.default_rng(43).standard_normal(1 << 20).astype(np.float32))
+        opt = Adam([("x", x)], lr=1e-3)
+        x.grad[...] = 0.5
+        opt.step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * optim_mod.BLOCK, peak
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_last_element_aborts_before_any_update(self, bad):
+        block = optim_mod.BLOCK
+        rng = np.random.default_rng(44)
+        params = [Tensor(rng.standard_normal(s).astype(np.float32)) for s in (block + 5, 3 * block + 7)]
+        opt = Adam([("enc.w", params[0]), ("dec.w", params[1])], lr=1e-3)
+        for t in params:
+            t.grad[...] = rng.standard_normal(t.shape).astype(np.float32)
+        opt.step()
+        for t in params:
+            t.grad[...] = rng.standard_normal(t.shape).astype(np.float32)
+        params[1].grad[-1] = bad
+        before = [t.data.tobytes() for t in params] + [a.tobytes() for a in opt.m + opt.v]
+        with pytest.raises(FloatingPointError, match="dec.w"):
+            opt.step()
+        assert [t.data.tobytes() for t in params] + [a.tobytes() for a in opt.m + opt.v] == before
+        assert opt.step_count == 1

@@ -8,7 +8,7 @@ import pytest
 
 from osegnet import tensor as tensor_mod
 from osegnet.tensor import (ShapeError, Tensor, batchnorm, conv2d, conv2d_transpose,
-                            finite_diff_grad, power_expand)
+                            finite_diff_grad, no_graph, power_expand)
 
 
 def rel_err(analytic, numeric, floor=1e-2):
@@ -125,6 +125,49 @@ class TestBackward:
         y = x * x + x * 3.0  # reuses x twice
         y.sum().backward()
         assert np.allclose(x.grad, [2 * 2.0 + 3.0])
+
+
+class TestNoGraph:
+    """Ops inside no_graph() give the same values but record nothing."""
+
+    def test_nodes_keep_no_parents_closure_or_grad(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 6, 6)).astype(np.float32))
+        k = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32))
+        recorded = (conv2d(x, k).tanh() * 2.0).sum()
+        with no_graph():
+            free = (conv2d(x, k).tanh() * 2.0).sum()
+            leaf = Tensor([1.0])
+        assert free.data.tobytes() == recorded.data.tobytes()
+        assert recorded._parents and recorded._backward_fn is not None
+        assert (free._parents, free._backward_fn, free.grad) == ((), None, None)
+        assert leaf.grad is None
+
+    def test_backward_through_an_inference_node_raises_before_any_gradient(self):
+        x = Tensor([1.0, 2.0])
+        with no_graph():
+            h = x.tanh()
+        loss = (h * 3.0).sum()  # recorded on top of an inference node
+        with pytest.raises(RuntimeError, match="inference mode"):
+            loss.backward()
+        assert loss.grad is None
+        assert np.array_equal(x.grad, np.zeros(2, np.float32))
+
+    def test_recording_resumes_after_an_exception(self):
+        with pytest.raises(ZeroDivisionError):
+            with no_graph():
+                Tensor([1.0]).tanh()
+                1 / 0
+        x = Tensor([0.5])
+        x.tanh().sum().backward()
+        assert np.isclose(x.grad[0], 1.0 - np.tanh(0.5) ** 2)
+
+    def test_nesting_restores_the_outer_state(self):
+        with no_graph():
+            with no_graph():
+                pass
+            assert Tensor([1.0]).tanh()._parents == ()
+        assert Tensor([1.0]).tanh()._parents != ()
 
 
 class TestFiniteDiff:
@@ -559,6 +602,18 @@ class TestBatchnormOp:
                         rm, rv, 0.99, 0.0, False)
         assert np.allclose(out.data, (3.0 - 1.0) / 2.0)
         assert rm[0] == 1.0 and rv[0] == 4.0  # untouched
+
+    def test_inference_node_is_graph_free_and_refuses_backward(self):
+        x = Tensor(np.full((1, 1, 2, 2), 3.0, dtype=np.float32))
+        gamma = Tensor(np.ones(1, np.float32))
+        out = batchnorm(x, gamma, Tensor(np.zeros(1, np.float32)),
+                        np.array([1.0], np.float32), np.array([4.0], np.float32), 0.99, 0.0, False)
+        assert (out._parents, out._backward_fn, out.grad) == ((), None, None)
+        with pytest.raises(RuntimeError, match="inference mode"):
+            out.sum().backward()
+        assert not x.grad.any() and not gamma.grad.any()
+        # Graph recording is on again for the next op.
+        assert (x * 2.0)._parents[0] is x
 
     def test_constant_channel_collapses_to_beta(self):
         x = Tensor(np.full((2, 1, 3, 3), 0.7, dtype=np.float32))
