@@ -23,8 +23,8 @@ from .gradcheck import run_all
 from .losses import LossConfig, hybrid_loss
 from .metrics import (ConfusionCounts, confusion_table, format_percent, metrics_csv,
                       metrics_from_confusion, pixel_confusion, sample_confusion)
-from .model import (CANONICAL_ENCODER, CheckpointError, ModelConfig, build_model, count_params,
-                    load_checkpoint, save_checkpoint)
+from .model import (CANONICAL_DECODER, CANONICAL_ENCODER, CheckpointError, ModelConfig,
+                    build_model, count_params, load_checkpoint, save_checkpoint)
 from .optim import Adam
 from .tensor import ShapeError, Tensor
 
@@ -109,7 +109,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             overrides[f.name] = flag
     if overrides.get("encoder_channels") is not None and isinstance(overrides["encoder_channels"], str):
         overrides["encoder_channels"] = _parse_value("encoder_channels", overrides["encoder_channels"])
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    if len(cfg.encoder_channels) != len(CANONICAL_DECODER):
+        # The decoder filters are fixed at the canonical five; no flag sets them.
+        raise ValueError(f"--encoder-channels / encoder_channels must list "
+                         f"{len(CANONICAL_DECODER)} stage widths, got {len(cfg.encoder_channels)}")
+    return cfg
 
 
 def write_run_log(out_dir: Path, command: str, cfg: RunConfig, extra: list = ()) -> None:

@@ -8,17 +8,22 @@ im2col/col2im form so the inner loops run as BLAS matmuls with a fixed
 summation order. Reductions accumulate in float64 and round the result back
 to float32.
 
-conv2d holds at most ``COLS_BUDGET`` bytes of im2col columns per call (but
-always at least one sample's). A batch whose columns fit is lowered in one
-go and its columns are kept for backward. A larger batch is lowered a chunk
-of samples at a time through one reused buffer; backward keeps only the
-padded input and rebuilds each chunk's columns. Every sample goes through
-the same BLAS call either way and the float64 weight gradient adds samples
-in batch order, so chunking changes no bits.
+Both convolutions run on one lowering and its adjoint. ``_lower`` computes
+``w2 @ im2col(padded)`` and returns the weight gradient as a function;
+``_adjoint_add`` adds ``col2im(w2.T @ g)`` into a padded buffer. conv2d is
+the lowering forward and the adjoint backward; conv2d_transpose is the
+adjoint forward and the lowering backward. Either holds at most
+``COLS_BUDGET`` bytes of columns at a time (but always at least one
+sample's). A batch whose columns fit is lowered in one go and its columns
+are kept for the weight gradient. A larger batch is lowered a chunk of
+samples at a time through one reused buffer; the weight gradient keeps only
+the padded input and rebuilds each chunk's columns. Every sample goes
+through the same BLAS call either way and the float64 weight gradient adds
+samples in batch order, so chunking changes no bits.
 
-With one output channel the input gradient's columns are an outer product
-(inner dimension 1), so conv2d's backward skips them: it adds each tap's
-product straight into the padded gradient, in col2im's tap order, which
+With one output channel (of the lowering) the adjoint's columns are an
+outer product (inner dimension 1), so the adjoint skips them: it adds each
+tap's product straight into the padded buffer, in col2im's tap order, which
 gives col2im's bits without the column buffer.
 
 Inside ``no_graph()`` (what ``OSegNetModel.forward(training=False)`` runs
@@ -33,7 +38,7 @@ import contextlib
 
 import numpy as np
 
-# Most bytes of im2col columns one conv2d call builds at a time.
+# Most bytes of im2col columns one conv2d or conv2d_transpose call builds at a time.
 COLS_BUDGET = 16 << 20
 
 # False inside no_graph(): ops then build graph-free (inference) nodes.
@@ -330,23 +335,13 @@ def _same_pads(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
 
 
 def _im2col(padded: np.ndarray, k: int, stride: int, h_out: int, w_out: int,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """(N, C, Hp, Wp) -> contiguous columns (N, C, k, k, h_out, w_out), into out if given."""
-    n, c = padded.shape[:2]
-    cols = np.empty((n, c, k, k, h_out, w_out), dtype=np.float32) if out is None else out
+            cols: np.ndarray) -> np.ndarray:
+    """(N, C, Hp, Wp) -> columns (N, C, k, k, h_out, w_out), written into cols."""
     for ky in range(k):
         for kx in range(k):
             cols[:, :, ky, kx] = padded[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
                                         kx:kx + (w_out - 1) * stride + 1:stride]
     return cols
-
-
-def _col2im(cols: np.ndarray, n: int, c: int, h_pad: int, w_pad: int,
-            k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back into a padded buffer."""
-    buf = np.zeros((n, c, h_pad, w_pad), dtype=np.float32)
-    _col2im_add(buf, cols, k, stride, h_out, w_out)
-    return buf
 
 
 def _col2im_add(buf: np.ndarray, cols: np.ndarray, k: int, stride: int,
@@ -373,6 +368,71 @@ def _taps_add(dpad: np.ndarray, w2: np.ndarray, g3: np.ndarray, k: int, stride: 
             np.multiply(w[:, ky, kx, None, None], g, out=tmp)
             dpad[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
                  kx:kx + (w_out - 1) * stride + 1:stride] += tmp
+
+
+def _chunk(n: int, c: int, k: int, h_out: int, w_out: int) -> int:
+    """Samples per chunk: as many as COLS_BUDGET holds columns of, at least one."""
+    return max(1, min(n, COLS_BUDGET // (4 * c * k * k * h_out * w_out)))
+
+
+def _lower(padded, w2, k, stride, h_out, w_out, m):
+    """y = w2 @ im2col(padded), m samples at a time through one column buffer.
+
+    padded: (N, C, Hp, Wp); w2: (Cout, C*k*k). Returns y as (N, Cout,
+    h_out*w_out) and dW(g3), the float64 (Cout, C*k*k) sum over samples of
+    g3[n] @ cols[n].T. With one chunk dW keeps the forward's columns, not
+    padded; with several it keeps padded and rebuilds each chunk's columns
+    in a buffer of its own. Each sample goes through the same BLAS calls
+    either way, and dW adds the per-sample products in batch order onto
+    zeros, as ``sum(axis=0, dtype=np.float64)`` does, so chunking changes
+    no bits.
+    """
+    n, c = padded.shape[:2]
+    rows, hw = c * k * k, h_out * w_out
+
+    def chunks():
+        buf = np.empty((m, c, k, k, h_out, w_out), dtype=np.float32)
+        for i in range(0, n, m):
+            r = min(m, n - i)
+            yield i, _im2col(padded[i:i + r], k, stride, h_out, w_out, buf[:r]).reshape(r, rows, hw)
+
+    y = np.empty((n, w2.shape[0], hw), dtype=np.float32)
+    for i, cols3 in chunks():
+        np.matmul(w2, cols3, out=y[i:i + len(cols3)])
+    kept = [(0, cols3)] if m == n else None
+    if kept:
+        padded = None
+
+    def dW(g3):
+        dw = np.zeros((g3.shape[1], rows))
+        part = np.empty((g3.shape[1], rows), dtype=np.float32)
+        for i, cols3 in kept or chunks():
+            for j, cols in enumerate(cols3, i):
+                dw += np.matmul(g3[j], cols.T, out=part)
+        return dw
+
+    return y, dW
+
+
+def _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out, m):
+    """dpad += col2im(w2.T @ g3), m samples at a time through one column buffer.
+
+    dpad: (N, C, Hp, Wp); w2: (Cout, C*k*k); g3: (N, Cout, h_out*w_out).
+    With one output channel the columns are an outer product, so
+    _taps_add adds each tap's product straight into dpad instead.
+    """
+    n, c = dpad.shape[:2]
+    rows, hw = c * k * k, h_out * w_out
+    one_out = w2.shape[0] == 1
+    buf = np.empty((m, c, h_out, w_out) if one_out else (m, c, k, k, h_out, w_out),
+                   dtype=np.float32)
+    for i in range(0, n, m):
+        r = min(m, n - i)
+        if one_out:
+            _taps_add(dpad[i:i + r], w2, g3[i:i + r], k, stride, h_out, w_out, buf[:r])
+        else:
+            np.matmul(w2.T, g3[i:i + r], out=buf[:r].reshape(r, rows, hw))
+            _col2im_add(dpad[i:i + r], buf[:r], k, stride, h_out, w_out)
 
 
 def _conv_geometry(h: int, w: int, k: int, stride: int, padding: str):
@@ -416,12 +476,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     h_out, w_out, pt, pb, pl, pr = _conv_geometry(h, w, k, stride, padding)
 
     padded = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    pad_shape = padded.shape  # not padded: only a chunked lowering keeps it
     w2 = kernels.data.reshape(cout, cin * k * k)
-    m = max(1, min(n, COLS_BUDGET // (4 * cin * k * k * h_out * w_out)))
-    if m == n:
-        y, adjoint = _conv_whole(padded, w2, k, stride, h_out, w_out)
-    else:
-        y, adjoint = _conv_chunked(padded, w2, k, stride, h_out, w_out, m)
+    m = _chunk(n, cin, k, h_out, w_out)
+    y, dW = _lower(padded, w2, k, stride, h_out, w_out, m)
     y = y.reshape(n, cout, h_out, w_out)
     if bias is not None:
         y = y + bias.data.reshape(1, cout, 1, 1)
@@ -429,77 +487,15 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     parents = (x, kernels) if bias is None else (x, kernels, bias)
 
     def bwd(g):
-        dw, dpad = adjoint(g.reshape(n, cout, h_out * w_out))
-        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
+        g3 = g.reshape(n, cout, h_out * w_out)
+        _accumulate(kernels, dW(g3).astype(np.float32).reshape(kernels.shape))
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
+        dpad = np.zeros(pad_shape, dtype=np.float32)
+        _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out, m)
         _accumulate(x, dpad[:, :, pt:pt + h, pl:pl + w])
 
     return Tensor(y, parents, "conv2d", bwd)
-
-
-def _conv_whole(padded, w2, k, stride, h_out, w_out):
-    """Lower the whole batch at once; the adjoint keeps the columns, not padded.
-
-    Returns y as (N, Cout, h_out*w_out) and adjoint(g3) -> (float64 dW, dpad).
-    """
-    n, c, h_pad, w_pad = padded.shape
-    cols3 = _im2col(padded, k, stride, h_out, w_out).reshape(n, c * k * k, h_out * w_out)
-    y = np.matmul(w2, cols3)
-
-    def adjoint(g3):
-        dw = np.matmul(g3, cols3.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
-        if w2.shape[0] == 1:
-            dpad = np.zeros((n, c, h_pad, w_pad), dtype=np.float32)
-            tmp = np.empty((n, c, h_out, w_out), dtype=np.float32)
-            _taps_add(dpad, w2, g3, k, stride, h_out, w_out, tmp)
-            return dw, dpad
-        dcols = np.matmul(w2.T, g3).reshape(n, c, k, k, h_out, w_out)
-        return dw, _col2im(dcols, n, c, h_pad, w_pad, k, stride, h_out, w_out)
-
-    return y, adjoint
-
-
-def _conv_chunked(padded, w2, k, stride, h_out, w_out, m):
-    """Lower m samples at a time through one reused column buffer.
-
-    Same contract as _conv_whole, but the adjoint keeps only padded and
-    rebuilds each chunk's columns. A sample's matmuls see the same operand
-    shapes and strides as in _conv_whole, and dW adds the float64 per-sample
-    products in batch order as ``sum(axis=0, dtype=np.float64)`` does, so
-    both lowerings give the same bits.
-    """
-    n, c = padded.shape[:2]
-    rows, hw = c * k * k, h_out * w_out
-    chunks = [(i, min(m, n - i)) for i in range(0, n, m)]
-    buf = np.empty((m, c, k, k, h_out, w_out), dtype=np.float32)
-    y = np.empty((n, w2.shape[0], hw), dtype=np.float32)
-    for i, r in chunks:
-        cols3 = _im2col(padded[i:i + r], k, stride, h_out, w_out, buf[:r]).reshape(r, rows, hw)
-        np.matmul(w2, cols3, out=y[i:i + r])
-
-    def adjoint(g3):
-        buf = np.empty((m, c, k, k, h_out, w_out), dtype=np.float32)
-        one_out = w2.shape[0] == 1
-        dbuf = np.empty((m, c, h_out, w_out) if one_out else buf.shape, dtype=np.float32)
-        dpad = np.zeros_like(padded)
-        dw = None
-        for i, r in chunks:
-            cols3 = _im2col(padded[i:i + r], k, stride, h_out, w_out, buf[:r]).reshape(r, rows, hw)
-            part = np.matmul(g3[i:i + r], cols3.transpose(0, 2, 1))
-            if dw is None:
-                dw = part.sum(axis=0, dtype=np.float64)
-            else:
-                for sample in part:
-                    dw += sample
-            if one_out:
-                _taps_add(dpad[i:i + r], w2, g3[i:i + r], k, stride, h_out, w_out, dbuf[:r])
-            else:
-                np.matmul(w2.T, g3[i:i + r], out=dbuf[:r].reshape(r, rows, hw))
-                _col2im_add(dpad[i:i + r], dbuf[:r], k, stride, h_out, w_out)
-        return dw, dpad
-
-    return y, adjoint
 
 
 def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
@@ -532,8 +528,9 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
 
     w2 = kernels.data.reshape(cin, cout * k * k)
     x3 = x.data.reshape(n, cin, h * w)
-    cols = np.matmul(w2.T, x3).reshape(n, cout, k, k, h, w)
-    buf = _col2im(cols, n, cout, h_up + pt + pb, w_up + pl + pr, k, stride, h, w)
+    buf = np.zeros((n, cout, h_up + pt + pb, w_up + pl + pr), dtype=np.float32)
+    m = _chunk(n, cout, k, h, w)
+    _adjoint_add(buf, w2, x3, k, stride, h, w, m)
     y = buf[:, :, pt:pt + h_up, pl:pl + w_up]
     if bias is not None:
         y = y + bias.data.reshape(1, cout, 1, 1)
@@ -541,11 +538,9 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     parents = (x, kernels) if bias is None else (x, kernels, bias)
 
     def bwd(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-        gcols = _im2col(gp, k, stride, h, w).reshape(n, cout * k * k, h * w)
-        _accumulate(x, np.matmul(w2, gcols).reshape(n, cin, h, w))
-        dw = np.matmul(x3, gcols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
-        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
+        dx, dW = _lower(np.pad(g, ((0, 0), (0, 0), (pt, pb), (pl, pr))), w2, k, stride, h, w, m)
+        _accumulate(x, dx.reshape(n, cin, h, w))
+        _accumulate(kernels, dW(x3).astype(np.float32).reshape(kernels.shape))
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 
@@ -590,7 +585,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     Training mode normalizes with batch statistics (biased variance) and
     updates the running buffers in place; inference mode uses the running
     statistics only and returns a graph-free node, as inside ``no_graph()``.
-    Zero-variance batches are handled by the eps floor.
+    Zero-variance batches are handled by the eps floor. Training with one
+    value per channel (N*H*W = 1) raises ShapeError: it would output beta
+    with a zero input gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm expects a 4-D tensor, got {x.shape}")
@@ -600,6 +597,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     axes = (0, 2, 3)
 
     if training:
+        if x.size == c:
+            raise ShapeError(f"batchnorm: training needs more than one value per channel, got "
+                             f"input shape {x.shape}: one sample at 1x1 has nothing to normalize over")
         mu = x.data.mean(axis=axes, dtype=np.float64)
         var = ((x.data.astype(np.float64) - mu.reshape(1, c, 1, 1)) ** 2).mean(axis=axes)
         running_mean *= momentum

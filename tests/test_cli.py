@@ -131,6 +131,39 @@ class TestTrainCommand:
         assert "aborting: non-finite loss at epoch 1" in capsys.readouterr().err
         assert (out / "checkpoint.ckpt").is_file()  # init checkpoint survives
 
+    def test_one_sample_trailing_batch_at_1x1_fails_keeping_initial_checkpoint(
+            self, tmp_path, capsys):
+        # 6 samples leave 5 to train: batches of 4 and 1. At 32 px the 5-stage
+        # encoder ends at 1x1, so the trailing batch gives batchnorm one value
+        # per channel. A batch size of 5 is the control.
+        synth_generate(6, 32, seed=2, out_dir=tmp_path / "ds")
+        index = tmp_path / "ds" / "index.tsv"
+        args = ("train", *SMALL, "--index", index, "--no-augment", "--seed", 4)
+        assert run_cli(*args, "--epochs", 0, "--out", tmp_path / "init") == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run_cli(*args, "--epochs", 1, "--batch-size", 4, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: batchnorm:") and "(1, 4, 1, 1)" in err
+        initial = (tmp_path / "init" / "checkpoint.ckpt").read_bytes()
+        assert (out / "checkpoint.ckpt").read_bytes() == initial
+        assert run_cli(*args, "--epochs", 1, "--batch-size", 5, "--out", tmp_path / "ok") == 0
+        assert (tmp_path / "ok" / "checkpoint.ckpt").read_bytes() != initial
+
+    def test_encoder_channels_need_five_widths(self, tmp_path, capsys):
+        # Rejected as a usage error before the (missing) index is read.
+        for widths in ("4,4,4", "4,4,4,4,4,4"):
+            code = run_cli("train", "--encoder-channels", widths, "--input-size", 64,
+                           "--index", tmp_path / "none.tsv", "--out", tmp_path / "run")
+            assert code == 2
+            assert "--encoder-channels / encoder_channels must list 5 stage widths" in \
+                capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("encoder_channels = 4,4\n", encoding="utf-8")
+        assert run_cli("train", "--config", cfg, "--index", tmp_path / "none.tsv",
+                       "--out", tmp_path / "run") == 2
+        assert "got 2" in capsys.readouterr().err
+
     def test_missing_index_fails_with_io_code(self, tmp_path):
         code = run_cli("train", *SMALL, "--index", tmp_path / "none.tsv",
                        "--epochs", 1, "--out", tmp_path / "run")
@@ -203,6 +236,15 @@ class TestEvalCommand:
         assert code == 0
         assert (out / "metrics_pixel.csv").is_file()
         assert (out / "metrics_sample.csv").is_file()
+
+    def test_encoder_channels_need_five_widths(self, tmp_path, capsys):
+        # Rejected before the (missing) index or checkpoint is read.
+        code = run_cli("eval", "--encoder-channels", "4,4,4,4", "--input-size", 32,
+                       "--index", tmp_path / "none.tsv", "--ckpt", tmp_path / "none.ckpt",
+                       "--out", tmp_path / "ev")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --encoder-channels / encoder_channels") and "got 4" in err
 
     def test_train_only_index_rejected(self, tmp_path):
         root = tmp_path / "ds"

@@ -338,7 +338,7 @@ class TestConv2dColumnBudget:
         whole = self.run(x0, k0, b0, g0, stride, padding)
 
         chunks = []
-        lower = tensor_mod._conv_chunked
+        lower = tensor_mod._lower
 
         def spy(padded, w2, k, s, h_out, w_out, m):
             chunks.append(m)
@@ -346,7 +346,7 @@ class TestConv2dColumnBudget:
 
         per_sample = self.cols_bytes_per_sample(4, 3, whole["y"])
         monkeypatch.setattr(tensor_mod, "COLS_BUDGET", chunk * per_sample)
-        monkeypatch.setattr(tensor_mod, "_conv_chunked", spy)
+        monkeypatch.setattr(tensor_mod, "_lower", spy)
         chunked = self.run(x0, k0, b0, g0, stride, padding)
         assert chunks == [chunk]  # 3 samples in chunks of 1+1+1 or 2+1
         for name, arr in whole.items():
@@ -498,16 +498,29 @@ class TestConvTranspose:
         b = conv2d(x, Tensor(np.transpose(w, (1, 0, 2, 3)).copy()), stride=1, padding="same")
         assert np.abs(a.data - b.data).max() < 1e-6
 
-    def test_is_adjoint_of_strided_conv(self):
+    def test_is_adjoint_of_strided_conv(self, monkeypatch):
+        # Both ops run the same adjoint on the same operands, so the bits
+        # match; with one conv output channel both run through _taps_add.
+        taps = []
+        taps_add = tensor_mod._taps_add
+
+        def spy(dpad, *args):
+            taps.append(dpad.shape)
+            taps_add(dpad, *args)
+
+        monkeypatch.setattr(tensor_mod, "_taps_add", spy)
         rng = np.random.default_rng(7)
-        for stride, k in ((1, 3), (2, 3), (2, 2)):
-            x = Tensor(rng.uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32))
-            w = rng.uniform(-1, 1, (5, 3, k, k)).astype(np.float32)
-            out = conv2d(x, Tensor(w), stride=stride, padding="same")
-            g = rng.uniform(-1, 1, out.shape).astype(np.float32)
-            (out * Tensor(g)).sum().backward()
-            pulled_back = conv2d_transpose(Tensor(g), Tensor(w), stride=stride)
-            assert np.abs(pulled_back.data - x.grad).max() < 1e-5
+        for cout in (5, 1):
+            for stride, k in ((1, 3), (2, 3), (2, 2)):
+                x = Tensor(rng.uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32))
+                w = rng.uniform(-1, 1, (cout, 3, k, k)).astype(np.float32)
+                out = conv2d(x, Tensor(w), stride=stride, padding="same")
+                g = rng.uniform(-1, 1, out.shape).astype(np.float32)
+                (out * Tensor(g)).sum().backward()
+                pulled_back = conv2d_transpose(Tensor(g), Tensor(w), stride=stride)
+                assert pulled_back.data.tobytes() == x.grad.tobytes(), (cout, stride, k)
+                assert len(taps) == (0 if cout > 1 else 2) and len(set(taps)) <= 1
+                taps.clear()
 
     def test_grads_match_fd(self):
         rng = np.random.default_rng(8)
@@ -528,6 +541,71 @@ class TestConvTranspose:
                 return loss_of(trial).item()
             numeric = finite_diff_grad(f, t, 1e-2)
             assert rel_err(t.grad, numeric.data) < 1e-3, name
+
+
+class TestConvTransposeColumnBudget:
+    """conv2d_transpose runs its forward on the adjoint and its backward on
+    the lowering, so it holds at most COLS_BUDGET of columns too; chunking
+    must give the same bits."""
+
+    @staticmethod
+    def run(x0, k0, b0, g0, stride):
+        x, kernel, bias = Tensor(x0), Tensor(k0), Tensor(b0)
+        y = conv2d_transpose(x, kernel, bias, stride=stride)
+        (y * Tensor(g0)).sum().backward()
+        return {"y": y.data, "x": x.grad, "kernel": kernel.grad, "bias": bias.grad}
+
+    @pytest.mark.parametrize("cin", [3, 1])
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_chunking_changes_no_bits(self, monkeypatch, stride, chunk, cin):
+        rng = np.random.default_rng(41)
+        x0 = rng.standard_normal((3, cin, 5, 6)).astype(np.float32)
+        k0 = rng.standard_normal((cin, 4, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(4).astype(np.float32)
+        g0 = rng.standard_normal((3, 4, 5 * stride, 6 * stride)).astype(np.float32)
+        g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
+        whole = self.run(x0, k0, b0, g0, stride)
+
+        chunks = []
+        for name in ("_lower", "_adjoint_add"):
+            def spy(*args, fn=getattr(tensor_mod, name), name=name):
+                chunks.append((name, args[-1]))
+                return fn(*args)
+            monkeypatch.setattr(tensor_mod, name, spy)
+        per_sample = 4 * 4 * 3 * 3 * 5 * 6  # float32 columns: Cout*k*k rows, H*W input pixels
+        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", chunk * per_sample)
+        chunked = self.run(x0, k0, b0, g0, stride)
+        assert chunks == [("_adjoint_add", chunk), ("_lower", chunk)]
+        for name, arr in whole.items():
+            assert chunked[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("chunked", [True, False])
+    def test_peak_stays_below_the_whole_column_buffer(self, monkeypatch, chunked):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.standard_normal((4, 2, 16, 16)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((2, 8, 3, 3)).astype(np.float32))
+        cols_bytes = 4 * 8 * 3 * 3 * 16 * 16 * 4
+        # One sample's columns per chunk, or a budget above the whole buffer.
+        budget = cols_bytes // 4 if chunked else 2 * cols_bytes
+        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", budget)
+        g = np.ones((4, 8, 16, 16), dtype=np.float32)
+        peaks = []
+        for step in ("forward", "backward"):
+            tracemalloc.start()
+            try:
+                if step == "forward":
+                    y = conv2d_transpose(x, kernel, stride=1)
+                else:
+                    y._backward_fn(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        if chunked:
+            assert max(peaks) < cols_bytes
+        else:  # negative control: the whole batch is lowered at once
+            assert min(peaks) >= cols_bytes
+        assert x.grad.any() and kernel.grad.any()
 
 
 class TestPowerExpand:
@@ -614,6 +692,20 @@ class TestBatchnormOp:
         assert not x.grad.any() and not gamma.grad.any()
         # Graph recording is on again for the next op.
         assert (x * 2.0)._parents[0] is x
+
+    def test_training_rejects_one_value_per_channel(self):
+        # N*H*W = 1 would normalize every value to beta with a zero input
+        # gradient; two values per channel, or inference mode, still run.
+        gamma, beta = Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32))
+        rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
+        x = Tensor(np.arange(3, dtype=np.float32).reshape(1, 3, 1, 1))
+        with pytest.raises(ShapeError, match=r"one value per channel.*\(1, 3, 1, 1\)"):
+            batchnorm(x, gamma, beta, rm, rv, 0.99, 1e-5, True)
+        assert not rm.any() and (rv == 1.0).all()  # running statistics untouched
+        batchnorm(x, gamma, beta, rm, rv, 0.99, 1e-5, False)
+        pair = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3, 1, 1))
+        batchnorm(pair, gamma, beta, rm, rv, 0.99, 1e-5, True).sum().backward()
+        assert np.isfinite(pair.grad).all()
 
     def test_constant_channel_collapses_to_beta(self):
         x = Tensor(np.full((2, 1, 3, 3), 0.7, dtype=np.float32))
