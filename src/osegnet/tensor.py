@@ -4,27 +4,35 @@ Every value is a numpy float32 array wrapped in a :class:`Tensor`. Operations
 build a computation graph on the fly; calling ``backward()`` on a scalar loss
 walks that graph once in reverse topological order and accumulates gradients
 into ``.grad``. The heavy kernels (conv2d and its transpose) are written in
-im2col/col2im form so the inner loops run as BLAS matmuls with a fixed
-summation order. Reductions accumulate in float64 and round the result back
-to float32.
+im2col/col2im form, or on the padded grid for one channel, so the inner
+loops run as BLAS matmuls with a fixed summation order. Reductions
+accumulate in float64 and round the result back to float32.
 
 Both convolutions run on one lowering and its adjoint. ``_lower`` computes
-``w2 @ im2col(padded)`` and returns the weight gradient as a function;
-``_adjoint_add`` adds ``col2im(w2.T @ g)`` into a padded buffer. conv2d is
-the lowering forward and the adjoint backward; conv2d_transpose is the
-adjoint forward and the lowering backward. Either holds at most
-``COLS_BUDGET`` bytes of columns at a time (but always at least one
-sample's). A batch whose columns fit is lowered in one go and its columns
-are kept for the weight gradient. A larger batch is lowered a chunk of
-samples at a time through one reused buffer; the weight gradient keeps only
-the padded input and rebuilds each chunk's columns. Every sample goes
-through the same BLAS call either way and the float64 weight gradient adds
-samples in batch order, so chunking changes no bits.
+``w2 @ im2col(padded)`` and its weight gradient; ``_adjoint_add`` adds
+``col2im(w2.T @ g)`` into a padded buffer. conv2d is the lowering forward
+and the adjoint backward; conv2d_transpose is the adjoint forward and the
+lowering backward, which takes the weight gradient in the same chunk loop
+as the input gradient. Either holds at most ``COLS_BUDGET`` bytes of
+buffers at a time (but always at least one sample's). A batch whose columns
+fit is lowered in one go and its columns are kept for the weight gradient.
+A larger batch is lowered a chunk of samples at a time through one reused
+buffer; a deferred weight gradient keeps only the padded input and rebuilds
+each chunk's columns. Every sample goes through the same BLAS call either
+way and the float64 weight gradient adds samples in batch order, so
+chunking changes no bits.
 
-With one output channel (of the lowering) the adjoint's columns are an
-outer product (inner dimension 1), so the adjoint skips them: it adds each
-tap's product straight into the padded buffer, in col2im's tap order, which
-gives col2im's bits without the column buffer.
+A lowering whose ``w2`` has one row (conv2d with one output channel, as the
+final layer's, or conv2d_transpose with one input channel) builds no
+columns. It works on the padded grid through the k*k tap offsets, so each
+product is a GEMM whose inner dimension is C or k*k, not C*k*k: the forward
+sums the tap rows of ``W_taps.T @ padded[n]`` at their strided offsets in
+(ky, kx) order, and the weight gradient and the adjoint multiply by the
+shifted gradient ``G[n]`` (``_shift_taps``), whose row per tap holds the
+gradient at that tap's offset. The k*k grid rows and, in the adjoint, the C
+rows of ``W_taps @ G[n]`` count against ``COLS_BUDGET``. The sums run in
+another order than the column form's, so results differ from it by float32
+rounding; chunking still changes no bits.
 
 Inside ``no_graph()`` (what ``OSegNetModel.forward(training=False)`` runs
 under) ops compute the same values but record no graph: each output keeps no
@@ -353,63 +361,115 @@ def _col2im_add(buf: np.ndarray, cols: np.ndarray, k: int, stride: int,
                 kx:kx + (w_out - 1) * stride + 1:stride] += cols[:, :, ky, kx]
 
 
-def _taps_add(dpad: np.ndarray, w2: np.ndarray, g3: np.ndarray, k: int, stride: int,
-              h_out: int, w_out: int, tmp: np.ndarray) -> None:
-    """dpad += col2im(w2.T @ g3) for one output channel, without the columns.
+def _sum_taps(y: np.ndarray, z: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> None:
+    """y = sum over taps of z's tap row at that tap's strided offset, in (ky, kx) order.
 
-    w2: (1, C*k*k); g3: (N, 1, h_out*w_out); tmp: (N, C, h_out, w_out) scratch.
-    Each product is the single rounding the inner-dimension-1 matmul makes,
-    and the taps are added in _col2im_add's order.
+    y: (r, h_out, w_out); z: (r, k*k, Hp, Wp). The first tap is copied in.
     """
-    w = w2.reshape(-1, k, k)
-    g = g3.reshape(-1, 1, h_out, w_out)
-    for ky in range(k):
-        for kx in range(k):
-            np.multiply(w[:, ky, kx, None, None], g, out=tmp)
-            dpad[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
-                 kx:kx + (w_out - 1) * stride + 1:stride] += tmp
+    for t in range(k * k):
+        ky, kx = divmod(t, k)
+        tap = z[:, t, ky:ky + (h_out - 1) * stride + 1:stride, kx:kx + (w_out - 1) * stride + 1:stride]
+        if t:
+            y += tap
+        else:
+            y[...] = tap
 
 
-def _chunk(n: int, c: int, k: int, h_out: int, w_out: int) -> int:
-    """Samples per chunk: as many as COLS_BUDGET holds columns of, at least one."""
-    return max(1, min(n, COLS_BUDGET // (4 * c * k * k * h_out * w_out)))
+def _shift_taps(shifted: np.ndarray, g3: np.ndarray, k: int, stride: int, h_out: int,
+                w_out: int) -> np.ndarray:
+    """Fill shifted (r, k*k, Hp, Wp) with G: row t holds g3 (r, 1, h_out*w_out)
+    at tap t's strided offset and zeros elsewhere, so that z @ G.T and
+    W @ G are _sum_taps' weight and input adjoints."""
+    shifted.fill(0.0)
+    g = g3.reshape(-1, h_out, w_out)
+    for t in range(k * k):
+        ky, kx = divmod(t, k)
+        shifted[:, t, ky:ky + (h_out - 1) * stride + 1:stride, kx:kx + (w_out - 1) * stride + 1:stride] = g
+    return shifted
 
 
-def _lower(padded, w2, k, stride, h_out, w_out, m):
-    """y = w2 @ im2col(padded), m samples at a time through one column buffer.
+def _chunk(n: int, w2: np.ndarray, k: int, hw: int, grid: int) -> int:
+    """Samples per chunk: as many as COLS_BUDGET holds buffers of, at least one.
+
+    w2: (rows, C*k*k); hw: output pixels; grid: padded pixels. Per sample a
+    lowering builds C*k*k rows of hw columns, while a one-row lowering
+    builds k*k rows of the padded grid (Z or G) plus, in the adjoint, the C
+    rows of W @ G.
+    """
+    c_kk = w2.shape[1]
+    per_sample = (k * k + c_kk // (k * k)) * grid if w2.shape[0] == 1 else c_kk * hw
+    return max(1, min(n, COLS_BUDGET // (4 * per_sample)))
+
+
+def _lower(padded, w2, k, stride, h_out, w_out, m, g3=None):
+    """y = w2 @ im2col(padded), m samples at a time, and its weight gradient.
 
     padded: (N, C, Hp, Wp); w2: (Cout, C*k*k). Returns y as (N, Cout,
-    h_out*w_out) and dW(g3), the float64 (Cout, C*k*k) sum over samples of
-    g3[n] @ cols[n].T. With one chunk dW keeps the forward's columns, not
-    padded; with several it keeps padded and rebuilds each chunk's columns
-    in a buffer of its own. Each sample goes through the same BLAS calls
-    either way, and dW adds the per-sample products in batch order onto
-    zeros, as ``sum(axis=0, dtype=np.float64)`` does, so chunking changes
-    no bits.
+    h_out*w_out) and dW, the float64 (Cout, C*k*k) sum over samples of
+    g3[n] @ cols[n].T. Given g3, dW is that array, summed in y's chunk loop;
+    without, it is a function dW(g3). Each sample goes through the same BLAS
+    calls whatever the chunking, and dW adds the per-sample float32 products
+    in batch order onto float64 zeros, so chunking changes no bits.
+
+    The columns go through one reused buffer. A deferred dW keeps them when
+    the batch is one chunk; otherwise it keeps padded and rebuilds each
+    chunk's columns. With one row in w2 no columns are built: Z = W_taps.T
+    @ padded[n] (k*k x Hp*Wp) gives y as the sum of Z's tap rows at their
+    offsets, and dW = padded[n] @ G[n].T with G from _shift_taps.
     """
     n, c = padded.shape[:2]
-    rows, hw = c * k * k, h_out * w_out
+    cout, rows = w2.shape
+    hw, grid = h_out * w_out, padded.shape[2] * padded.shape[3]
+    one_row = cout == 1
+    dw_shape = (c, k * k) if one_row else (cout, rows)
 
-    def chunks():
-        buf = np.empty((m, c, k, k, h_out, w_out), dtype=np.float32)
-        for i in range(0, n, m):
-            r = min(m, n - i)
-            yield i, _im2col(padded[i:i + r], k, stride, h_out, w_out, buf[:r]).reshape(r, rows, hw)
+    def new_buf():
+        return np.empty((m, k * k, *padded.shape[2:]) if one_row else (m, rows, hw), dtype=np.float32)
 
-    y = np.empty((n, w2.shape[0], hw), dtype=np.float32)
-    for i, cols3 in chunks():
-        np.matmul(w2, cols3, out=y[i:i + len(cols3)])
-    kept = [(0, cols3)] if m == n else None
-    if kept:
+    def columns(buf, i, r):
+        """Chunk i's columns, written into buf."""
+        _im2col(padded[i:i + r], k, stride, h_out, w_out, buf[:r].reshape(r, c, k, k, h_out, w_out))
+        return buf[:r]
+
+    def add_dw(dw, buf, i, r, g3):
+        """dw += chunk i's per-sample products; a lowering's buf holds the chunk's columns."""
+        if one_row:
+            shifted = _shift_taps(buf[:r], g3[i:i + r], k, stride, h_out, w_out)
+            pairs = zip(padded[i:i + r].reshape(r, c, grid), shifted.reshape(r, k * k, grid))
+        else:
+            pairs = zip(g3[i:i + r], buf[:r])
+        part = np.empty(dw_shape, dtype=np.float32)
+        for a, b in pairs:
+            dw += np.matmul(a, b.T, out=part)
+
+    buf = new_buf()
+    y = np.empty((n, cout, hw), dtype=np.float32)
+    dw = None if g3 is None else np.zeros(dw_shape)
+    for i in range(0, n, m):
+        r = min(m, n - i)
+        if one_row:
+            np.matmul(w2.reshape(c, k * k).T, padded[i:i + r].reshape(r, c, grid),
+                      out=buf[:r].reshape(r, k * k, grid))
+            _sum_taps(y[i:i + r].reshape(r, h_out, w_out), buf[:r], k, stride, h_out, w_out)
+        else:
+            np.matmul(w2, columns(buf, i, r), out=y[i:i + r])
+        if dw is not None:
+            add_dw(dw, buf, i, r, g3)
+    if dw is not None:
+        return y, dw.reshape(cout, rows)
+    kept = buf if m == n and not one_row else None
+    if kept is not None:
         padded = None
 
     def dW(g3):
-        dw = np.zeros((g3.shape[1], rows))
-        part = np.empty((g3.shape[1], rows), dtype=np.float32)
-        for i, cols3 in kept or chunks():
-            for j, cols in enumerate(cols3, i):
-                dw += np.matmul(g3[j], cols.T, out=part)
-        return dw
+        dw = np.zeros(dw_shape)
+        buf = new_buf() if kept is None else kept
+        for i in range(0, n, m):
+            r = min(m, n - i)
+            if kept is None and not one_row:
+                columns(buf, i, r)
+            add_dw(dw, buf, i, r, g3)
+        return dw.reshape(cout, rows)
 
     return y, dW
 
@@ -418,21 +478,26 @@ def _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out, m):
     """dpad += col2im(w2.T @ g3), m samples at a time through one column buffer.
 
     dpad: (N, C, Hp, Wp); w2: (Cout, C*k*k); g3: (N, Cout, h_out*w_out).
-    With one output channel the columns are an outer product, so
-    _taps_add adds each tap's product straight into dpad instead.
+    With one row in w2 no columns are built: dpad[n] += W_taps (C x k*k)
+    @ G[n], with G from _shift_taps.
     """
     n, c = dpad.shape[:2]
-    rows, hw = c * k * k, h_out * w_out
-    one_out = w2.shape[0] == 1
-    buf = np.empty((m, c, h_out, w_out) if one_out else (m, c, k, k, h_out, w_out),
-                   dtype=np.float32)
+    if w2.shape[0] == 1:
+        grid = dpad.shape[2] * dpad.shape[3]
+        shifted = np.empty((m, k * k, *dpad.shape[2:]), dtype=np.float32)
+        prod = np.empty((m, c, *dpad.shape[2:]), dtype=np.float32)
+        for i in range(0, n, m):
+            r = min(m, n - i)
+            _shift_taps(shifted[:r], g3[i:i + r], k, stride, h_out, w_out)
+            np.matmul(w2.reshape(c, k * k), shifted[:r].reshape(r, k * k, grid),
+                      out=prod[:r].reshape(r, c, grid))
+            dpad[i:i + r] += prod[:r]
+        return
+    buf = np.empty((m, c, k, k, h_out, w_out), dtype=np.float32)
     for i in range(0, n, m):
         r = min(m, n - i)
-        if one_out:
-            _taps_add(dpad[i:i + r], w2, g3[i:i + r], k, stride, h_out, w_out, buf[:r])
-        else:
-            np.matmul(w2.T, g3[i:i + r], out=buf[:r].reshape(r, rows, hw))
-            _col2im_add(dpad[i:i + r], buf[:r], k, stride, h_out, w_out)
+        np.matmul(w2.T, g3[i:i + r], out=buf[:r].reshape(r, c * k * k, h_out * w_out))
+        _col2im_add(dpad[i:i + r], buf[:r], k, stride, h_out, w_out)
 
 
 def _conv_geometry(h: int, w: int, k: int, stride: int, padding: str):
@@ -476,9 +541,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     h_out, w_out, pt, pb, pl, pr = _conv_geometry(h, w, k, stride, padding)
 
     padded = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    pad_shape = padded.shape  # not padded: only a chunked lowering keeps it
+    pad_shape = padded.shape  # not padded: the lowering keeps it only if dW needs it
     w2 = kernels.data.reshape(cout, cin * k * k)
-    m = _chunk(n, cin, k, h_out, w_out)
+    m = _chunk(n, w2, k, h_out * w_out, padded[0, 0].size)
     y, dW = _lower(padded, w2, k, stride, h_out, w_out, m)
     y = y.reshape(n, cout, h_out, w_out)
     if bias is not None:
@@ -529,7 +594,7 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     w2 = kernels.data.reshape(cin, cout * k * k)
     x3 = x.data.reshape(n, cin, h * w)
     buf = np.zeros((n, cout, h_up + pt + pb, w_up + pl + pr), dtype=np.float32)
-    m = _chunk(n, cout, k, h, w)
+    m = _chunk(n, w2, k, h * w, buf[0, 0].size)
     _adjoint_add(buf, w2, x3, k, stride, h, w, m)
     y = buf[:, :, pt:pt + h_up, pl:pl + w_up]
     if bias is not None:
@@ -538,9 +603,9 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     parents = (x, kernels) if bias is None else (x, kernels, bias)
 
     def bwd(g):
-        dx, dW = _lower(np.pad(g, ((0, 0), (0, 0), (pt, pb), (pl, pr))), w2, k, stride, h, w, m)
+        dx, dw = _lower(np.pad(g, ((0, 0), (0, 0), (pt, pb), (pl, pr))), w2, k, stride, h, w, m, g3=x3)
         _accumulate(x, dx.reshape(n, cin, h, w))
-        _accumulate(kernels, dW(x3).astype(np.float32).reshape(kernels.shape))
+        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 

@@ -381,22 +381,50 @@ def training_grads(model, x):
 # graph but computes the same arithmetic, so these match the graph-building
 # forward bit for bit.
 INFERENCE_SHA256 = {
-    1: "20203fd08511db624b9d9c00f8383b5ab446288a59419a662ebc717c3ae8feb0",
-    3: "0c0de8052735aab106bee6e56886e57d0202f33e6e161708851ab1cdfa41aa0d",
+    1: "b76a88db061f1cc77edd2b78584917de10719e086a39dac11a0adf876cf9c330",
+    3: "79fe2a033f2267719b2d9a7c7a4849e95d3ccfda3fbce0a60b500f29e54ecf1c",
 }
+
+
+def final_layer_f64(layer, h):
+    """The final layer and sigmoid in float64, without the engine: the powers
+    of h, same zero padding (odd k, stride 1) and a sliding-window
+    correlation. Also returns each output's sum of |terms| of the sum."""
+    n, c, size, _ = h.shape
+    q, kernel = layer.q_order, layer.kernel.data.astype(np.float64)
+    k = kernel.shape[2]
+    h64 = h.astype(np.float64)
+    pows = np.stack([h64 ** (p + 1) for p in range(q)], axis=2).reshape(n, c * q, size, size)
+    padded = np.pad(pows, ((0, 0), (0, 0), (k // 2, k // 2), (k // 2, k // 2)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
+    z = np.einsum("nchwij,ocij->nohw", windows, kernel) + layer.bias.data
+    terms = np.einsum("nchwij,ocij->nohw", np.abs(windows), np.abs(kernel)) + np.abs(layer.bias.data)
+    return 1.0 / (1.0 + np.exp(-z)), terms
 
 
 class TestInferenceMode:
     """forward(training=False) builds no autodiff graph."""
 
     @pytest.mark.parametrize("q", sorted(INFERENCE_SHA256))
-    def test_inference_output_golden_bytes(self, q):
+    def test_inference_output_golden_bytes(self, monkeypatch, q):
         model = canonical_32(q)
         rng = np.random.default_rng(23)
         set_running_stats(model, rng)
         x = Tensor(rng.uniform(0, 1, (2, 1, 32, 32)).astype(np.float32))
+        final, inputs = model.final, []
+        monkeypatch.setattr(model, "final", lambda h: inputs.append(h.data) or final(h))
         out = model(x, training=False)
         assert hashlib.sha256(out.data.tobytes()).hexdigest() == INFERENCE_SHA256[q]
+        # The pinned bytes are the final layer's output within the float32
+        # forward-error bound of its float64 value: gamma_n * sum|terms| with
+        # n = C*Q*k*k products, the bias and two roundings of the powers,
+        # through the sigmoid's slope of at most 1/4, plus 4 eps32 for the
+        # float32 sigmoid itself.
+        exact, terms = final_layer_f64(final, inputs[0])
+        n = final.kernel.data[0].size + 3
+        u = np.finfo(np.float32).eps / 2
+        bound = n * u / (1 - n * u) * terms / 4 + 8 * u
+        assert np.all(np.abs(out.data - exact) <= bound)
 
     def test_output_has_no_graph_and_backward_raises(self):
         model = canonical_32()

@@ -319,21 +319,26 @@ class TestConv2dColumnBudget:
         return 4 * cin * k * k * y.shape[2] * y.shape[3]
 
     @staticmethod
+    def grid_bytes_per_sample(cin, k, x, stride, padding):
+        """A one-output-channel conv2d's buffers per sample: k*k rows of the
+        padded grid (Z or G) and the Cin rows of the adjoint's product."""
+        h_out, w_out, pt, pb, pl, pr = tensor_mod._conv_geometry(x.shape[2], x.shape[3], k,
+                                                                 stride, padding)
+        return 4 * (k * k + cin) * (x.shape[2] + pt + pb) * (x.shape[3] + pl + pr)
+
+    @staticmethod
     def run(x0, k0, b0, g0, stride, padding):
         x, kernel, bias = Tensor(x0), Tensor(k0), Tensor(b0)
         y = conv2d(x, kernel, bias, stride=stride, padding=padding)
         (y * Tensor(g0[:, :, :y.shape[2], :y.shape[3]])).sum().backward()
         return {"y": y.data, "x": x.grad, "kernel": kernel.grad, "bias": bias.grad}
 
-    @pytest.mark.parametrize("chunk", [1, 2])
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_chunking_changes_no_bits(self, monkeypatch, stride, padding, chunk):
+    def check_chunking(self, monkeypatch, cout, stride, padding, chunk):
         rng = np.random.default_rng(21)
         x0 = rng.standard_normal((3, 4, 11, 9)).astype(np.float32)
-        k0 = rng.standard_normal((2, 4, 3, 3)).astype(np.float32)
-        b0 = rng.standard_normal(2).astype(np.float32)
-        g0 = rng.standard_normal((3, 2, 11, 9)).astype(np.float32)
+        k0 = rng.standard_normal((cout, 4, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(cout).astype(np.float32)
+        g0 = rng.standard_normal((3, cout, 11, 9)).astype(np.float32)
         g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
         whole = self.run(x0, k0, b0, g0, stride, padding)
 
@@ -344,7 +349,10 @@ class TestConv2dColumnBudget:
             chunks.append(m)
             return lower(padded, w2, k, s, h_out, w_out, m)
 
-        per_sample = self.cols_bytes_per_sample(4, 3, whole["y"])
+        if cout == 1:
+            per_sample = self.grid_bytes_per_sample(4, 3, x0, stride, padding)
+        else:
+            per_sample = self.cols_bytes_per_sample(4, 3, whole["y"])
         monkeypatch.setattr(tensor_mod, "COLS_BUDGET", chunk * per_sample)
         monkeypatch.setattr(tensor_mod, "_lower", spy)
         chunked = self.run(x0, k0, b0, g0, stride, padding)
@@ -352,6 +360,19 @@ class TestConv2dColumnBudget:
         for name, arr in whole.items():
             assert np.array_equal(chunked[name], arr), name
             assert chunked[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_chunking_changes_no_bits(self, monkeypatch, stride, padding, chunk):
+        self.check_chunking(monkeypatch, 2, stride, padding, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_output_channel_chunking_changes_no_bits(self, monkeypatch, stride, padding, chunk):
+        # A budget of one or two samples' grid buffers: a few KiB.
+        self.check_chunking(monkeypatch, 1, stride, padding, chunk)
 
     def test_weight_gradient_adds_samples_in_batch_order(self, monkeypatch):
         # A float64 sum of a few float32 products is exact, so it hides the
@@ -400,28 +421,69 @@ class TestConv2dColumnBudget:
         assert x.grad.any() and kernel.grad.any()
 
 
-def column_taps_add(dpad, w2, g3, k, stride, h_out, w_out, tmp):
-    """Reference for _taps_add: the column form it replaces, a matmul with
-    inner dimension 1 whose columns are then col2im-added into dpad."""
-    n, c = dpad.shape[:2]
-    dcols = np.matmul(w2.T, g3.reshape(n, 1, h_out * w_out)).reshape(n, c, k, k, h_out, w_out)
+def column_form(x0, k0, b0, g0, stride, padding, dtype=np.float32):
+    """Reference for the one-output-channel conv2d: the column form it
+    replaces. y = w2 @ im2col(x), dW = sum over samples of g @ cols.T, and
+    dx = col2im(w2.T @ g), an outer product whose taps col2im adds in order.
+    With dtype float64 and |operands| it gives each element's sum of |terms|."""
+    n, c, h, w = x0.shape
+    k = k0.shape[2]
+    h_out, w_out, pt, pb, pl, pr = tensor_mod._conv_geometry(h, w, k, stride, padding)
+    padded = np.pad(x0.astype(dtype), ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    cols = tensor_mod._im2col(padded, k, stride, h_out, w_out,
+                              np.empty((n, c, k, k, h_out, w_out), dtype)).reshape(n, c * k * k, -1)
+    w2 = k0.reshape(1, c * k * k).astype(dtype)
+    g3 = g0[:, :, :h_out, :w_out].reshape(n, 1, h_out * w_out).astype(dtype)
+    y = np.matmul(w2, cols).reshape(n, 1, h_out, w_out) + b0.astype(dtype)
+    dw = np.zeros((1, c * k * k))
+    for a, b in zip(g3, cols):
+        dw += np.matmul(a, b.T)
+    dpad = np.zeros(padded.shape, dtype)
+    dcols = np.matmul(w2.T, g3).reshape(n, c, k, k, h_out, w_out)
     tensor_mod._col2im_add(dpad, dcols, k, stride, h_out, w_out)
+    return {"y": y, "x": dpad[:, :, pt:pt + h, pl:pl + w],
+            "kernel": dw.astype(dtype).reshape(k0.shape),
+            "bias": g3.sum(axis=(0, 2), dtype=np.float64).astype(dtype)}
+
+
+def assert_within_fp32_bound(new, x0, k0, b0, g0, stride, padding, names):
+    """The grid path against the column form, per element, within twice the
+    standard float32 forward-error bound gamma_n * sum|terms| (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 3.1): each form is
+    within that of the exact sum, whatever order it adds its n terms in.
+    n counts the terms of the longest sum: C*k*k products and the bias for
+    y; k*k taps for dx; the padded grid (which holds every output pixel)
+    for each sample's dW product, plus one rounding of the float64 total."""
+    ref = column_form(x0, k0, b0, g0, stride, padding)
+    terms = column_form(np.abs(x0), np.abs(k0), np.abs(b0), np.abs(g0), stride, padding,
+                        np.float64)
+    n, c, h, w = x0.shape
+    k = k0.shape[2]
+    _, _, pt, pb, pl, pr = tensor_mod._conv_geometry(h, w, k, stride, padding)
+    u = np.finfo(np.float32).eps / 2
+    count = {"y": c * k * k + 1, "x": k * k, "kernel": (h + pt + pb) * (w + pl + pr) + 1}
+    for name in names:
+        gamma = count[name] * u / (1 - count[name] * u)
+        err = np.abs(new[name].astype(np.float64) - ref[name])
+        assert np.all(err <= 2 * gamma * terms[name]), (name, float(err.max()))
 
 
 class TestOneOutputChannelBackward:
-    """With one output channel, conv2d's backward adds each tap's product
-    straight into the padded input gradient instead of building its columns;
-    it must give the bits of the column form, whole and chunked."""
+    """With one output channel conv2d builds no im2col columns: it works on
+    the padded grid through the k*k tap offsets, whole and chunked. Its sums
+    run in another order than the column form's, so they are held to the
+    column form within the float32 forward-error bound."""
 
     @staticmethod
-    def grads(monkeypatch, x0, k0, b0, g0, stride, padding, taps_add):
+    def grads(monkeypatch, x0, k0, b0, g0, stride, padding):
         calls = []
+        shift_taps = tensor_mod._shift_taps
 
-        def spy(dpad, *args):
-            calls.append(dpad.shape[0])
-            taps_add(dpad, *args)
+        def spy(shifted, *args):
+            calls.append(shifted.shape[0])
+            return shift_taps(shifted, *args)
 
-        monkeypatch.setattr(tensor_mod, "_taps_add", spy)
+        monkeypatch.setattr(tensor_mod, "_shift_taps", spy)
         out = TestConv2dColumnBudget.run(x0, k0, b0, g0, stride, padding)
         return out, calls
 
@@ -434,24 +496,21 @@ class TestOneOutputChannelBackward:
         k0 = rng.standard_normal((1, 5, 3, 3)).astype(np.float32)
         b0 = rng.standard_normal(1).astype(np.float32)
         g0 = rng.standard_normal((3, 1, 11, 9)).astype(np.float32)
-        g0[..., ::3] = 0.0  # exact zeros; their products with negative taps are -0.0
-        if chunked:  # one sample's columns per chunk
-            y = conv2d(Tensor(x0), Tensor(k0), stride=stride, padding=padding)
-            per_sample = TestConv2dColumnBudget.cols_bytes_per_sample(5, 3, y)
-            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", per_sample)
-        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, stride, padding,
-                                tensor_mod._taps_add)
-        assert calls == ([1, 1, 1] if chunked else [3])  # the column-free path ran
-        ref, _ = self.grads(monkeypatch, x0, k0, b0, g0, stride, padding, column_taps_add)
-        for name in ("y", "x", "kernel", "bias"):
-            assert new[name].tobytes() == ref[name].tobytes(), name
+        g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
+        if chunked:  # one sample per chunk
+            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 1)
+        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, stride, padding)
+        # The column-free path ran: the weight gradient, then the adjoint.
+        assert calls == ([1] * 6 if chunked else [3, 3])
+        assert_within_fp32_bound(new, x0, k0, b0, g0, stride, padding, ("y", "x", "kernel"))
+        assert new["bias"].tobytes() == column_form(x0, k0, b0, g0, stride, padding)["bias"].tobytes()
 
     @pytest.mark.parametrize("chunked", [False, True])
     def test_taps_add_in_column_order(self, monkeypatch, chunked):
-        # Float32 adds of like-sized terms rarely depend on their order. Here
-        # the first two taps are +-1e12 and the gradient is constant along
-        # rows, so in tap order they cancel exactly and keep the small taps'
-        # sum; added in another order, the big terms swamp the small ones.
+        # The first two taps are +-1e12 and the gradient is constant along
+        # rows, so off the edges they cancel exactly in the column form and
+        # leave the small taps' sum. The grid path adds the taps in another
+        # order; the bound, which scales with sum|w*g|, judges it.
         rng = np.random.default_rng(32)
         x0 = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         k0 = rng.standard_normal((1, 3, 3, 3)).astype(np.float32)
@@ -460,21 +519,71 @@ class TestOneOutputChannelBackward:
         b0 = np.zeros(1, np.float32)
         g0 = np.repeat(rng.standard_normal((2, 1, 8, 1)).astype(np.float32), 8, axis=3)
         if chunked:
-            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 4 * 3 * 9 * 64)
-        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, 1, "same", tensor_mod._taps_add)
-        assert calls == ([1, 1] if chunked else [2])
-        ref, _ = self.grads(monkeypatch, x0, k0, b0, g0, 1, "same", column_taps_add)
+            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 1)
+        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, 1, "same")
+        assert calls == ([1] * 4 if chunked else [2, 2])
+        ref = column_form(x0, k0, b0, g0, 1, "same")
         assert np.median(np.abs(ref["x"])) < 1e3  # the big taps cancelled off the edges
-        assert new["x"].tobytes() == ref["x"].tobytes()
+        assert_within_fp32_bound(new, x0, k0, b0, g0, 1, "same", ("x",))
 
     def test_more_output_channels_keep_the_columns(self, monkeypatch):
         rng = np.random.default_rng(33)
         calls = []
-        monkeypatch.setattr(tensor_mod, "_taps_add", lambda *args: calls.append(args))
+        monkeypatch.setattr(tensor_mod, "_shift_taps", lambda *args: calls.append(args))
         x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
         kernel = Tensor(rng.standard_normal((2, 3, 3, 3)).astype(np.float32))
         conv2d(x, kernel).sum().backward()
         assert calls == [] and x.grad.any()
+
+    def test_builds_no_columns(self, monkeypatch):
+        # Peak allocation of a forward and of a backward, each below one
+        # sample's C*k*k*H*W columns; a column-form forward builds them.
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.standard_normal((2, 24, 32, 32)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((1, 24, 3, 3)).astype(np.float32))
+        cols_bytes = 24 * 3 * 3 * 32 * 32 * 4
+        g = np.ones((2, 1, 32, 32), dtype=np.float32)
+        peaks = []
+        for step in ("forward", "backward"):
+            tracemalloc.start()
+            try:
+                if step == "forward":
+                    y = conv2d(x, kernel, stride=1, padding="same")
+                else:
+                    y._backward_fn(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < cols_bytes, (peaks, cols_bytes)
+        assert x.grad.any() and kernel.grad.any()
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_operational_grads_match_fd(self, stride, padding, q):
+        # The final layer's op in isolation, at the oper kind's step sizes
+        # (3e-3 for the power-expanded input, 1e-2 for the linear ones) and
+        # threshold (1e-3).
+        rng = np.random.default_rng([35, stride, q])
+        x = Tensor(rng.uniform(-0.9, 0.9, (2, 2, 6, 5)).astype(np.float32))
+        kernel = Tensor(rng.uniform(-0.4, 0.4, (1, 2 * q, 3, 3)).astype(np.float32))
+        bias = Tensor(rng.uniform(-0.2, 0.2, 1).astype(np.float32))
+        g = rng.uniform(0.5, 1.5, (2, 1, 6, 5)).astype(np.float32)
+
+        def loss_of(ts):
+            y = conv2d(power_expand(ts["x"], q), ts["kernel"], ts["bias"], stride=stride,
+                       padding=padding)
+            return (y * Tensor(g[:, :, :y.shape[2], :y.shape[3]])).sum()
+
+        tensors = {"x": x, "kernel": kernel, "bias": bias}
+        loss_of(tensors).backward()
+        for name, t in tensors.items():
+            def f(c, name=name):
+                trial = dict(tensors)
+                trial[name] = c
+                return loss_of(trial).item()
+            numeric = finite_diff_grad(f, t, 3e-3 if name == "x" else 1e-2)
+            assert rel_err(t.grad, numeric.data) < 1e-3, name
 
 
 class TestConvTranspose:
@@ -500,15 +609,17 @@ class TestConvTranspose:
 
     def test_is_adjoint_of_strided_conv(self, monkeypatch):
         # Both ops run the same adjoint on the same operands, so the bits
-        # match; with one conv output channel both run through _taps_add.
+        # match; with one conv output channel it runs on the padded grid, and
+        # the shifted gradient is built for conv2d's weight gradient, its
+        # adjoint and conv2d_transpose's adjoint.
         taps = []
-        taps_add = tensor_mod._taps_add
+        shift_taps = tensor_mod._shift_taps
 
-        def spy(dpad, *args):
-            taps.append(dpad.shape)
-            taps_add(dpad, *args)
+        def spy(shifted, *args):
+            taps.append(shifted.shape)
+            return shift_taps(shifted, *args)
 
-        monkeypatch.setattr(tensor_mod, "_taps_add", spy)
+        monkeypatch.setattr(tensor_mod, "_shift_taps", spy)
         rng = np.random.default_rng(7)
         for cout in (5, 1):
             for stride, k in ((1, 3), (2, 3), (2, 2)):
@@ -519,7 +630,7 @@ class TestConvTranspose:
                 (out * Tensor(g)).sum().backward()
                 pulled_back = conv2d_transpose(Tensor(g), Tensor(w), stride=stride)
                 assert pulled_back.data.tobytes() == x.grad.tobytes(), (cout, stride, k)
-                assert len(taps) == (0 if cout > 1 else 2) and len(set(taps)) <= 1
+                assert len(taps) == (0 if cout > 1 else 3) and len(set(taps)) <= 1
                 taps.clear()
 
     def test_grads_match_fd(self):
@@ -569,16 +680,42 @@ class TestConvTransposeColumnBudget:
 
         chunks = []
         for name in ("_lower", "_adjoint_add"):
-            def spy(*args, fn=getattr(tensor_mod, name), name=name):
+            def spy(*args, fn=getattr(tensor_mod, name), name=name, **kwargs):
                 chunks.append((name, args[-1]))
-                return fn(*args)
+                return fn(*args, **kwargs)
             monkeypatch.setattr(tensor_mod, name, spy)
-        per_sample = 4 * 4 * 3 * 3 * 5 * 6  # float32 columns: Cout*k*k rows, H*W input pixels
+        if cin == 1:  # k*k + Cout rows of the padded output grid
+            _, pt, pb = tensor_mod._same_pads(5 * stride, 3, stride)
+            _, pl, pr = tensor_mod._same_pads(6 * stride, 3, stride)
+            per_sample = 4 * (3 * 3 + 4) * (5 * stride + pt + pb) * (6 * stride + pl + pr)
+        else:  # float32 columns: Cout*k*k rows, H*W input pixels
+            per_sample = 4 * 4 * 3 * 3 * 5 * 6
         monkeypatch.setattr(tensor_mod, "COLS_BUDGET", chunk * per_sample)
         chunked = self.run(x0, k0, b0, g0, stride)
         assert chunks == [("_adjoint_add", chunk), ("_lower", chunk)]
         for name, arr in whole.items():
             assert chunked[name].tobytes() == arr.tobytes(), name
+
+    def test_backward_builds_each_chunk_once(self, monkeypatch):
+        # Decoder block 5 at 224 px, Q=3: 16*3 channels at 112 px up to 8 at
+        # 224 px. A batch of 8 lowers in chunks of 4 under the default budget;
+        # the weight gradient takes its products in the same chunk loop as
+        # the input gradient, so each chunk's columns are built once.
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.standard_normal((8, 48, 112, 112)).astype(np.float32))
+        kernel = Tensor(rng.uniform(-0.1, 0.1, (48, 8, 3, 3)).astype(np.float32))
+        y = conv2d_transpose(x, kernel, stride=2)
+        builds = []
+        im2col = tensor_mod._im2col
+
+        def spy(padded, *args):
+            builds.append(padded.shape[0])
+            return im2col(padded, *args)
+
+        monkeypatch.setattr(tensor_mod, "_im2col", spy)
+        y._backward_fn(np.ones(y.shape, dtype=np.float32))
+        assert builds == [4, 4]
+        assert x.grad.any() and kernel.grad.any()
 
     @pytest.mark.parametrize("chunked", [True, False])
     def test_peak_stays_below_the_whole_column_buffer(self, monkeypatch, chunked):
