@@ -26,7 +26,7 @@ from .metrics import (ConfusionCounts, confusion_table, format_percent, metrics_
 from .model import (CANONICAL_DECODER, CANONICAL_ENCODER, CheckpointError, ModelConfig,
                     build_model, count_params, load_checkpoint, save_checkpoint)
 from .optim import Adam
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, no_graph
 
 
 @dataclass
@@ -140,7 +140,9 @@ def _stage_records(records, size: int):
 def _ingest_batch(pairs) -> tuple[Tensor, Tensor]:
     images = np.stack([to_unit(img)[None] for _, img, _ in pairs])
     masks = np.stack([(msk > 127).astype(np.float32)[None] for _, _, msk in pairs])
-    return Tensor(images), Tensor(masks)
+    # Inputs are not trained: they get no gradient buffer, in training or inference.
+    with no_graph():
+        return Tensor(images), Tensor(masks)
 
 
 # -- commands ---------------------------------------------------------------------

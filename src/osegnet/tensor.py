@@ -34,6 +34,13 @@ rows of ``W_taps @ G[n]`` count against ``COLS_BUDGET``. The sums run in
 another order than the column form's, so results differ from it by float32
 rounding; chunking still changes no bits.
 
+Batchnorm keeps float64 statistics per channel block: the variance and the
+backward run over blocks of channels (about ``_BN_BLOCK_BYTES`` of float64
+each, two channels at least) through one reused buffer, so the op makes no
+full-size temporary besides its outputs and ``xhat``. Each channel is still
+reduced over the whole tensor's (N, H*W) layout, so the bits are those of
+whole-tensor expressions.
+
 Inside ``no_graph()`` (what ``OSegNetModel.forward(training=False)`` runs
 under) ops compute the same values but record no graph: each output keeps no
 parents, no backward closure and no gradient buffer, so the columns and other
@@ -48,6 +55,10 @@ import numpy as np
 
 # Most bytes of im2col columns one conv2d or conv2d_transpose call builds at a time.
 COLS_BUDGET = 16 << 20
+
+# Bytes of float64 one batchnorm channel block spans (a block takes two channels
+# at least): the variance and backward of a block stay in cache.
+_BN_BLOCK_BYTES = 1 << 20
 
 # False inside no_graph(): ops then build graph-free (inference) nodes.
 _recording = True
@@ -64,9 +75,11 @@ def _as_f32(data) -> np.ndarray:
     return arr
 
 
-def _accumulate(node: "Tensor", grad: np.ndarray) -> None:
+def _accumulate(node: "Tensor", grad: np.ndarray, owned: bool = False) -> None:
+    """Add grad into node.grad; an ``owned`` grad (a fresh float32 array of the node's
+    shape that nothing else holds) becomes the first gradient without a copy."""
     if node.grad is None:
-        node.grad = np.array(grad, dtype=np.float32, copy=True)
+        node.grad = grad if owned else np.array(grad, dtype=np.float32, copy=True)
     else:
         node.grad += grad
 
@@ -630,16 +643,34 @@ def power_expand(x: Tensor, q_order: int) -> Tensor:
     pows = np.empty((n, c, q_order, h, w), dtype=np.float32)
     pows[:, :, 0] = x.data
     for q in range(1, q_order):
-        pows[:, :, q] = pows[:, :, q - 1] * x.data
+        np.multiply(pows[:, :, q - 1], x.data, out=pows[:, :, q])
 
     def bwd(g):
         g5 = g.reshape(n, c, q_order, h, w)
         dx = g5[:, :, 0].copy()
+        term = np.empty_like(dx)
         for q in range(1, q_order):
-            dx += (q + 1) * pows[:, :, q - 1] * g5[:, :, q]
-        _accumulate(x, dx)
+            np.multiply(q + 1, pows[:, :, q - 1], out=term)
+            dx += np.multiply(term, g5[:, :, q], out=term)
+        _accumulate(x, dx, owned=True)
 
     return Tensor(pows.reshape(n, c * q_order, h, w), (x,), "power_expand", bwd)
+
+
+def _channel_blocks(shape: tuple) -> list:
+    """Batchnorm's channel ranges [c0, c1): about ``_BN_BLOCK_BYTES`` of float64, two channels or more.
+
+    A lone channel of a tensor with several is one contiguous run, which
+    numpy may reduce as one flat run instead of the whole tensor's (N, H*W)
+    rows, in another order; so a last block of one channel joins the one
+    before.
+    """
+    n, c, h, w = shape
+    width = min(c, max(2, _BN_BLOCK_BYTES // (8 * n * h * w)))
+    starts = list(range(0, c, width))
+    if len(starts) > 1 and c - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [c]))
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -653,10 +684,16 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     Zero-variance batches are handled by the eps floor. Training with one
     value per channel (N*H*W = 1) raises ShapeError: it would output beta
     with a zero input gradient.
+
+    Float64 statistics per channel block: the variance and the backward run
+    over blocks of channels (``_channel_blocks``) through one reused buffer,
+    so no full-size temporary is made beyond ``xhat``, ``y`` and the input
+    gradient. Each channel is reduced in the order a whole-tensor reduction
+    uses, so blocking changes no bits.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm expects a 4-D tensor, got {x.shape}")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm: gamma/beta shape must be ({c},), got {gamma.shape}/{beta.shape}")
     axes = (0, 2, 3)
@@ -665,8 +702,20 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         if x.size == c:
             raise ShapeError(f"batchnorm: training needs more than one value per channel, got "
                              f"input shape {x.shape}: one sample at 1x1 has nothing to normalize over")
+        blocks = _channel_blocks(x.shape)
+        block_size = n * max(c1 - c0 for c0, c1 in blocks) * h * w
+
+        def block(buf, c0, c1):
+            return buf[:n * (c1 - c0) * h * w].reshape(n, c1 - c0, h, w)
+
         mu = x.data.mean(axis=axes, dtype=np.float64)
-        var = ((x.data.astype(np.float64) - mu.reshape(1, c, 1, 1)) ** 2).mean(axis=axes)
+        var = np.empty(c, dtype=np.float64)
+        buf = np.empty(block_size, dtype=np.float64)
+        for c0, c1 in blocks:
+            dev = block(buf, c0, c1)
+            np.subtract(x.data[:, c0:c1], mu[c0:c1].reshape(1, -1, 1, 1), out=dev)
+            var[c0:c1] = np.square(dev, out=dev).mean(axis=axes)
+        del buf, dev  # free the block buffer before xhat and y are made
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu.astype(np.float32)
         running_var *= momentum
@@ -676,19 +725,35 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var.astype(np.float64)
 
     inv = (1.0 / np.sqrt(var + eps)).astype(np.float32).reshape(1, c, 1, 1)
-    xhat = (x.data - mu.astype(np.float32).reshape(1, c, 1, 1)) * inv
-    y = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    xhat = np.subtract(x.data, mu.astype(np.float32).reshape(1, c, 1, 1))
+    np.multiply(xhat, inv, out=xhat)
+    # Inference needs no xhat afterwards, so y overwrites it.
+    y = np.multiply(gamma.data.reshape(1, c, 1, 1), xhat, out=None if training else xhat)
+    y += beta.data.reshape(1, c, 1, 1)
     if not training:
         with no_graph():
             return Tensor(y, (x, gamma, beta), "batchnorm")
 
     def bwd(g):
-        _accumulate(gamma, (g * xhat).sum(axis=axes, dtype=np.float64).astype(np.float32))
-        _accumulate(beta, g.sum(axis=axes, dtype=np.float64).astype(np.float32))
-        gs = g * gamma.data.reshape(1, c, 1, 1)
-        mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
-        mean_gs_xhat = (gs * xhat).mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
-        _accumulate(x, inv * (gs - mean_gs - xhat * mean_gs_xhat))
+        dgamma = np.empty(c, dtype=np.float64)
+        dbeta = np.empty(c, dtype=np.float64)
+        dx = np.empty_like(g)
+        buf = np.empty(block_size, dtype=np.float32)
+        for c0, c1 in blocks:
+            gb, xb, t = g[:, c0:c1], xhat[:, c0:c1], block(buf, c0, c1)
+            dgamma[c0:c1] = np.multiply(gb, xb, out=t).sum(axis=axes, dtype=np.float64)
+            dbeta[c0:c1] = gb.sum(axis=axes, dtype=np.float64)
+            gs = np.multiply(gb, gamma.data[c0:c1].reshape(1, -1, 1, 1), out=dx[:, c0:c1])
+            mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, -1, 1, 1)
+            mean_gs_xhat = np.multiply(gs, xb, out=t).mean(axis=axes, dtype=np.float64)
+            np.multiply(xb, mean_gs_xhat.astype(np.float32).reshape(1, -1, 1, 1), out=t)
+            # dx = inv * ((gs - mean_gs) - xhat * mean_gs_xhat), written over gs.
+            np.subtract(gs, mean_gs, out=gs)
+            np.subtract(gs, t, out=gs)
+            np.multiply(inv[:, c0:c1], gs, out=gs)
+        _accumulate(gamma, dgamma.astype(np.float32))
+        _accumulate(beta, dbeta.astype(np.float32))
+        _accumulate(x, dx, owned=True)
 
     return Tensor(y, (x, gamma, beta), "batchnorm", bwd)
 

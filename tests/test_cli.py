@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from osegnet import cli
 from osegnet.cli import RunConfig, main, read_config_file, resolve_config
 from osegnet.data import load_pgm, save_pgm, synth_generate
 from osegnet.model import ModelConfig, build_model, load_checkpoint
@@ -236,6 +237,21 @@ class TestEvalCommand:
         assert code == 0
         assert (out / "metrics_pixel.csv").is_file()
         assert (out / "metrics_sample.csv").is_file()
+
+    def test_model_eval_inputs_get_no_gradient_buffer(self, dataset, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        run_cli("train", *SMALL, "--index", dataset, "--epochs", 0, "--out", run_dir)
+        batches, ingest = [], cli._ingest_batch
+
+        def spy(pairs):
+            batches.append(ingest(pairs))
+            return batches[-1]
+
+        monkeypatch.setattr(cli, "_ingest_batch", spy)
+        code = run_cli("eval", *SMALL, "--index", dataset, "--ckpt",
+                       run_dir / "checkpoint.ckpt", "--out", tmp_path / "ev")
+        assert code == 0 and batches
+        assert all(x.grad is None and y.grad is None for x, y in batches)
 
     def test_encoder_channels_need_five_widths(self, tmp_path, capsys):
         # Rejected before the (missing) index or checkpoint is read.

@@ -874,3 +874,108 @@ class TestBatchnormOp:
                 return loss_of(trial).item()
             numeric = finite_diff_grad(f, t, 3e-3)
             assert rel_err(t.grad, numeric.data) < 1e-3, name
+
+
+def batchnorm_reference(x, gamma, beta, running_mean, running_var, momentum, eps, training, g):
+    """Batchnorm as whole-tensor expressions, with its hand-derived backward.
+
+    The channel-blocked op must give these bytes. Updates the running
+    statistics in place as the op does and returns y, plus the gamma, beta
+    and input gradients for upstream gradient g in training mode.
+    """
+    c = x.shape[1]
+    axes = (0, 2, 3)
+    if training:
+        mu = x.mean(axis=axes, dtype=np.float64)
+        var = ((x.astype(np.float64) - mu.reshape(1, c, 1, 1)) ** 2).mean(axis=axes)
+        running_mean *= momentum
+        running_mean += (1.0 - momentum) * mu.astype(np.float32)
+        running_var *= momentum
+        running_var += (1.0 - momentum) * var.astype(np.float32)
+    else:
+        mu = running_mean.astype(np.float64)
+        var = running_var.astype(np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(np.float32).reshape(1, c, 1, 1)
+    xhat = (x - mu.astype(np.float32).reshape(1, c, 1, 1)) * inv
+    y = gamma.reshape(1, c, 1, 1) * xhat + beta.reshape(1, c, 1, 1)
+    if not training:
+        return (y,)
+    dgamma = (g * xhat).sum(axis=axes, dtype=np.float64).astype(np.float32)
+    dbeta = g.sum(axis=axes, dtype=np.float64).astype(np.float32)
+    gs = g * gamma.reshape(1, c, 1, 1)
+    mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
+    mean_gs_xhat = (gs * xhat).mean(axis=axes, dtype=np.float64)
+    mean_gs_xhat = mean_gs_xhat.astype(np.float32).reshape(1, c, 1, 1)
+    return y, dgamma, dbeta, inv * (gs - mean_gs - xhat * mean_gs_xhat)
+
+
+class TestBatchnormChannelBlocks:
+    CASES = [
+        ((4, 8, 224, 224), False),  # the 224 px model's first encoder batchnorm
+        ((3, 1, 17, 19), False),    # C = 1: the one block is one channel
+        ((2, 50, 64, 64), False),   # 16-channel blocks; 50 is not a multiple of 16
+        ((2, 49, 64, 64), False),   # a lone last channel joins the block before it
+        ((2, 5, 300, 300), False),  # a channel exceeds the budget: blocks of two and three
+        ((2, 4, 9, 9), True),       # one zero-variance channel
+    ]
+
+    @pytest.mark.parametrize("shape", [case[0] for case in CASES])
+    def test_blocks_cover_channels_in_twos_or_more(self, shape):
+        n, c, h, w = shape
+        blocks = tensor_mod._channel_blocks(shape)
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]] and blocks[-1][1] == c
+        widths = [c1 - c0 for c0, c1 in blocks]
+        assert min(widths) >= min(c, 2)
+        assert max(widths) <= max(2, tensor_mod._BN_BLOCK_BYTES // (8 * n * h * w)) + 1
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape,constant_channel", CASES)
+    def test_same_bytes_as_whole_tensor_formula(self, shape, constant_channel, training):
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 1.7 + 0.4).astype(np.float32)
+        if constant_channel:
+            x[:, c // 2] = 0.3
+        gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        beta = rng.uniform(-0.3, 0.3, c).astype(np.float32)
+        g = rng.standard_normal(shape).astype(np.float32)
+        rm0 = rng.uniform(-0.1, 0.1, c).astype(np.float32)
+        rv0 = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        rm_ref, rv_ref = rm0.copy(), rv0.copy()
+        want = batchnorm_reference(x, gamma, beta, rm_ref, rv_ref, 0.9, 1e-5, training, g)
+        ts = [Tensor(x), Tensor(gamma), Tensor(beta)]
+        rm, rv = rm0.copy(), rv0.copy()
+        out = batchnorm(*ts, rm, rv, 0.9, 1e-5, training)
+        got = [out.data]
+        if training:
+            ts[0].grad = None  # as an intermediate node's: the first gradient is stored, not added
+            out._backward_fn(g)
+            got += [ts[1].grad, ts[2].grad, ts[0].grad]
+        assert (rm.tobytes(), rv.tobytes()) == (rm_ref.tobytes(), rv_ref.tobytes())
+        for name, a, b in zip(("y", "dgamma", "dbeta", "dx"), got, want):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_training_makes_no_full_size_temporaries(self):
+        rng = np.random.default_rng(31)
+        shape = (4, 8, 224, 224)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32))
+        gamma, beta = Tensor(np.ones(8, np.float32)), Tensor(np.zeros(8, np.float32))
+        g = rng.standard_normal(shape).astype(np.float32)
+        x.grad = None
+        peaks = []
+        tracemalloc.start()
+        try:
+            for step in ("forward", "backward"):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                if step == "forward":
+                    out = batchnorm(x, gamma, beta, np.zeros(8, np.float32), np.ones(8, np.float32),
+                                    0.99, 1e-5, True)
+                else:
+                    out._backward_fn(g)
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / x.data.nbytes)
+        finally:
+            tracemalloc.stop()
+        # Forward keeps xhat and y; backward makes the input gradient. The rest
+        # is one channel block's buffer.
+        assert peaks[0] < 3.0 and peaks[1] < 2.0, peaks
