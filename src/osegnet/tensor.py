@@ -29,10 +29,11 @@ product is a GEMM whose inner dimension is C or k*k, not C*k*k: the forward
 sums the tap rows of ``W_taps.T @ padded[n]`` at their strided offsets in
 (ky, kx) order, and the weight gradient and the adjoint multiply by the
 shifted gradient ``G[n]`` (``_shift_taps``), whose row per tap holds the
-gradient at that tap's offset. The k*k grid rows and, in the adjoint, the C
-rows of ``W_taps @ G[n]`` count against ``COLS_BUDGET``. The sums run in
-another order than the column form's, so results differ from it by float32
-rounding; chunking still changes no bits.
+gradient at that tap's offset; conv2d's backward builds G once per chunk
+for both and writes the adjoint over its padded buffer. The k*k grid rows
+and, in the adjoint, the C rows of ``W_taps @ G[n]`` count against
+``COLS_BUDGET``. The sums run in another order than the column form's, so
+results differ from it by float32 rounding; chunking still changes no bits.
 
 Batchnorm keeps float64 statistics per channel block: the variance and the
 backward run over blocks of channels (about ``_BN_BLOCK_BYTES`` of float64
@@ -45,11 +46,20 @@ Inside ``no_graph()`` (what ``OSegNetModel.forward(training=False)`` runs
 under) ops compute the same values but record no graph: each output keeps no
 parents, no backward closure and no gradient buffer, so the columns and other
 buffers a closure would capture are freed as soon as the op returns.
+
+Importing this module sets the malloc policy of the whole process once. On
+glibc it calls ``mallopt`` to fix the mmap threshold at 32 MiB (glibc's own
+ceiling for its dynamic threshold on 64-bit) and the trim threshold at
+1 GiB, so the arrays a step frees stay in the heap and the next step reuses
+them instead of page-faulting fresh memory in. Allocation changes no
+arithmetic. On other C libraries nothing is set.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 
 import numpy as np
 
@@ -62,6 +72,30 @@ _BN_BLOCK_BYTES = 1 << 20
 
 # False inside no_graph(): ops then build graph-free (inference) nodes.
 _recording = True
+
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory(libc) -> None:
+    """Keep freed arrays in the heap for reuse; a no-op unless libc is glibc.
+
+    Setting either threshold turns off glibc's dynamic mmap threshold, so
+    both are set, the mmap threshold first; the trim threshold alone would
+    leave every array above 128 KiB mmapped afresh.
+    """
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+if os.name == "posix":
+    _keep_freed_memory(ctypes.CDLL(None))
 
 
 class ShapeError(ValueError):
@@ -428,7 +462,9 @@ def _lower(padded, w2, k, stride, h_out, w_out, m, g3=None):
     the batch is one chunk; otherwise it keeps padded and rebuilds each
     chunk's columns. With one row in w2 no columns are built: Z = W_taps.T
     @ padded[n] (k*k x Hp*Wp) gives y as the sum of Z's tap rows at their
-    offsets, and dW = padded[n] @ G[n].T with G from _shift_taps.
+    offsets, and dW = padded[n] @ G[n].T with G from _shift_taps. A deferred
+    one-row dW(g3, dpad) also writes the adjoint W_taps @ G[n] over the
+    whole of dpad[n] (N, C, Hp, Wp) from the same G.
     """
     n, c = padded.shape[:2]
     cout, rows = w2.shape
@@ -444,10 +480,16 @@ def _lower(padded, w2, k, stride, h_out, w_out, m, g3=None):
         _im2col(padded[i:i + r], k, stride, h_out, w_out, buf[:r].reshape(r, c, k, k, h_out, w_out))
         return buf[:r]
 
-    def add_dw(dw, buf, i, r, g3):
-        """dw += chunk i's per-sample products; a lowering's buf holds the chunk's columns."""
+    def add_dw(dw, buf, i, r, g3, dpad=None):
+        """dw += chunk i's per-sample products; a lowering's buf holds the chunk's columns.
+
+        Given dpad (one row only), W_taps @ G is also written over its chunk.
+        """
         if one_row:
             shifted = _shift_taps(buf[:r], g3[i:i + r], k, stride, h_out, w_out)
+            if dpad is not None:
+                np.matmul(w2.reshape(c, k * k), shifted.reshape(r, k * k, grid),
+                          out=dpad[i:i + r].reshape(r, c, grid))
             pairs = zip(padded[i:i + r].reshape(r, c, grid), shifted.reshape(r, k * k, grid))
         else:
             pairs = zip(g3[i:i + r], buf[:r])
@@ -474,14 +516,14 @@ def _lower(padded, w2, k, stride, h_out, w_out, m, g3=None):
     if kept is not None:
         padded = None
 
-    def dW(g3):
+    def dW(g3, dpad=None):
         dw = np.zeros(dw_shape)
         buf = new_buf() if kept is None else kept
         for i in range(0, n, m):
             r = min(m, n - i)
             if kept is None and not one_row:
                 columns(buf, i, r)
-            add_dw(dw, buf, i, r, g3)
+            add_dw(dw, buf, i, r, g3, dpad)
         return dw.reshape(cout, rows)
 
     return y, dW
@@ -566,12 +608,22 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
 
     def bwd(g):
         g3 = g.reshape(n, cout, h_out * w_out)
-        _accumulate(kernels, dW(g3).astype(np.float32).reshape(kernels.shape))
+        # A leaf made under no_graph() (a batch input) has no gradient buffer:
+        # nothing reads its gradient, so none is computed.
+        wants_dx = bool(x._parents) or x.grad is not None
+        # One output channel: dW's shifted gradient also gives dx, written over dpad.
+        dpad = np.empty(pad_shape, dtype=np.float32) if wants_dx and cout == 1 else None
+        _accumulate(kernels, dW(g3, dpad).astype(np.float32).reshape(kernels.shape))
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
-        dpad = np.zeros(pad_shape, dtype=np.float32)
-        _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out, m)
-        _accumulate(x, dpad[:, :, pt:pt + h, pl:pl + w])
+        if not wants_dx:
+            return
+        if dpad is None:
+            dpad = np.zeros(pad_shape, dtype=np.float32)
+            _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out, m)
+        # + 0.0 copies the slice and turns a -0.0 written over dpad into +0.0,
+        # as adding into zeros does.
+        _accumulate(x, dpad[:, :, pt:pt + h, pl:pl + w] + 0.0, owned=True)
 
     return Tensor(y, parents, "conv2d", bwd)
 

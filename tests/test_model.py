@@ -13,7 +13,7 @@ from osegnet.model import (CANONICAL_DECODER, CANONICAL_ENCODER, CheckpointError
                            ModelConfig, OSegNetModel, build_model, count_params,
                            load_checkpoint, save_checkpoint)
 from osegnet.optim import Adam
-from osegnet.tensor import ShapeError, Tensor
+from osegnet.tensor import ShapeError, Tensor, no_graph
 
 TINY = dict(q_order=2, input_size=16, encoder_channels=(2, 3), decoder_filters=(3, 2))
 
@@ -464,6 +464,19 @@ class TestInferenceMode:
         nodes, grads = training_grads(model, x)
         assert nodes == fresh_nodes == 81
         assert grads == fresh
+
+    def test_batch_made_under_no_graph_gets_no_gradient(self):
+        # The CLI ingests its batch under no_graph(): a training step computes
+        # no input gradient for it, and every parameter gradient keeps the
+        # bytes a recording input gives.
+        images = np.random.default_rng(27).uniform(0, 1, (2, 1, 32, 32)).astype(np.float32)
+        recording = Tensor(images)
+        _, want = training_grads(canonical_32(), recording)
+        with no_graph():
+            batch = Tensor(images)
+        _, got = training_grads(canonical_32(), batch)
+        assert batch.grad is None and recording.grad.any()
+        assert got == want
 
     def test_inference_holds_no_buffers_after_the_call(self):
         # Training keeps every column buffer alive through the graph; the

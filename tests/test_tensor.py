@@ -1,7 +1,15 @@
 """Engine tests: autodiff correctness against analytic and FD oracles."""
 
+import ctypes
+import json
+import os
+import statistics
+import subprocess
+import sys
 import tracemalloc
+import types
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +169,40 @@ class TestNoGraph:
         x = Tensor([0.5])
         x.tanh().sum().backward()
         assert np.isclose(x.grad[0], 1.0 - np.tanh(0.5) ** 2)
+
+    @pytest.mark.parametrize("cout", [1, 3])
+    def test_conv_input_made_under_no_graph_gets_no_gradient(self, monkeypatch, cout):
+        # A batch input is a leaf made under no_graph(): conv2d's backward
+        # computes no input gradient for it, and the kernel and bias keep the
+        # bytes a recording input gives them.
+        rng = np.random.default_rng(37)
+        x0 = rng.uniform(0, 1, (2, 1, 12, 12)).astype(np.float32)
+        k0 = rng.standard_normal((cout, 1, 3, 3)).astype(np.float32)
+
+        def grads(x):
+            kernel, bias = Tensor(k0), Tensor(np.zeros(cout, np.float32))
+            conv2d(x, kernel, bias, stride=2).tanh().sum().backward()
+            return kernel.grad.tobytes(), bias.grad.tobytes()
+
+        recording = Tensor(x0)
+        want = grads(recording)
+        adjoints = []
+        monkeypatch.setattr(tensor_mod, "_adjoint_add", lambda *args: adjoints.append(args))
+        with no_graph():
+            batch = Tensor(x0)
+        assert grads(batch) == want
+        assert batch.grad is None and adjoints == []
+        assert recording.grad.any()
+
+    def test_backward_through_an_inference_conv_still_raises(self):
+        rng = np.random.default_rng(38)
+        x = Tensor(rng.uniform(0, 1, (1, 1, 6, 6)).astype(np.float32))
+        k = Tensor(rng.standard_normal((1, 1, 3, 3)).astype(np.float32))
+        with no_graph():
+            h = conv2d(x, k)
+        with pytest.raises(RuntimeError, match="inference mode"):
+            conv2d(h, k).sum().backward()
+        assert h.grad is None
 
     def test_nesting_restores_the_outer_state(self):
         with no_graph():
@@ -500,8 +542,9 @@ class TestOneOutputChannelBackward:
         if chunked:  # one sample per chunk
             monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 1)
         new, calls = self.grads(monkeypatch, x0, k0, b0, g0, stride, padding)
-        # The column-free path ran: the weight gradient, then the adjoint.
-        assert calls == ([1] * 6 if chunked else [3, 3])
+        # The column-free path ran: one shifted gradient per chunk gives the
+        # weight gradient and the adjoint.
+        assert calls == ([1] * 3 if chunked else [3])
         assert_within_fp32_bound(new, x0, k0, b0, g0, stride, padding, ("y", "x", "kernel"))
         assert new["bias"].tobytes() == column_form(x0, k0, b0, g0, stride, padding)["bias"].tobytes()
 
@@ -521,10 +564,47 @@ class TestOneOutputChannelBackward:
         if chunked:
             monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 1)
         new, calls = self.grads(monkeypatch, x0, k0, b0, g0, 1, "same")
-        assert calls == ([1] * 4 if chunked else [2, 2])
+        assert calls == ([1] * 2 if chunked else [2])
         ref = column_form(x0, k0, b0, g0, 1, "same")
         assert np.median(np.abs(ref["x"])) < 1e3  # the big taps cancelled off the edges
         assert_within_fp32_bound(new, x0, k0, b0, g0, 1, "same", ("x",))
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (2, "valid")])
+    def test_dx_keeps_the_bytes_of_the_adjoint_added_into_zeros(self, monkeypatch, stride,
+                                                                 padding, chunked):
+        # The backward writes W_taps @ G straight over an empty dpad; the input
+        # gradient must be that of adding the adjoint into zeros, which turns
+        # -0.0 into +0.0, and dW that of the lowering's own dW(g3). h = x * 1
+        # takes conv2d's dx as its first gradient, unmixed with a leaf's zeros.
+        rng = np.random.default_rng(36)
+        x0 = rng.standard_normal((3, 5, 11, 9)).astype(np.float32)
+        k0 = rng.standard_normal((1, 5, 3, 3)).astype(np.float32)
+        k0[0, 0] = -np.abs(k0[0, 0])  # w * +0.0 is -0.0 on this channel
+        g0 = rng.standard_normal((3, 1, 11, 9)).astype(np.float32)
+        g0[g0 > 0.3] = 0.0
+        g0[g0 < -1.0] = -0.0
+        if chunked:
+            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 1)
+        x = Tensor(x0)
+        h = x * 1.0
+        kernel = Tensor(k0)
+        y = conv2d(h, kernel, stride=stride, padding=padding)
+        g = np.ascontiguousarray(g0[:, :, :y.shape[2], :y.shape[3]])
+        (y * Tensor(g)).sum().backward()
+
+        n, c, hh, ww = x0.shape
+        h_out, w_out, pt, pb, pl, pr = tensor_mod._conv_geometry(hh, ww, 3, stride, padding)
+        padded = np.pad(x0, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+        w2 = k0.reshape(1, c * 9)
+        m = tensor_mod._chunk(n, w2, 3, h_out * w_out, padded[0, 0].size)
+        assert m == (1 if chunked else n)
+        g3 = g.reshape(n, 1, h_out * w_out)
+        _, dW = tensor_mod._lower(padded, w2, 3, stride, h_out, w_out, m)
+        dpad = np.zeros(padded.shape, np.float32)
+        tensor_mod._adjoint_add(dpad, w2, g3, 3, stride, h_out, w_out, m)
+        assert h.grad.tobytes() == dpad[:, :, pt:pt + hh, pl:pl + ww].tobytes()
+        assert kernel.grad.tobytes() == dW(g3).astype(np.float32).reshape(k0.shape).tobytes()
 
     def test_more_output_channels_keep_the_columns(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -610,8 +690,8 @@ class TestConvTranspose:
     def test_is_adjoint_of_strided_conv(self, monkeypatch):
         # Both ops run the same adjoint on the same operands, so the bits
         # match; with one conv output channel it runs on the padded grid, and
-        # the shifted gradient is built for conv2d's weight gradient, its
-        # adjoint and conv2d_transpose's adjoint.
+        # the shifted gradient is built once for conv2d's weight gradient and
+        # its adjoint, and once for conv2d_transpose's adjoint.
         taps = []
         shift_taps = tensor_mod._shift_taps
 
@@ -630,7 +710,7 @@ class TestConvTranspose:
                 (out * Tensor(g)).sum().backward()
                 pulled_back = conv2d_transpose(Tensor(g), Tensor(w), stride=stride)
                 assert pulled_back.data.tobytes() == x.grad.tobytes(), (cout, stride, k)
-                assert len(taps) == (0 if cout > 1 else 3) and len(set(taps)) <= 1
+                assert len(taps) == (0 if cout > 1 else 2) and len(set(taps)) <= 1
                 taps.clear()
 
     def test_grads_match_fd(self):
@@ -979,3 +1059,104 @@ class TestBatchnormChannelBlocks:
         # Forward keeps xhat and y; backward makes the input gradient. The rest
         # is one channel block's buffer.
         assert peaks[0] < 3.0 and peaks[1] < 2.0, peaks
+
+
+# Six training steps of the canonical 64 px model (Q=3, batch 4), each on a
+# fresh batch ingested as the CLI does; prints each step's minor page faults.
+# With "glibc-defaults", glibc's own 128 KiB thresholds are set back after
+# the import, which turns its dynamic mmap threshold off.
+FAULT_SCRIPT = """
+import ctypes, json, resource, sys
+import numpy as np
+from osegnet import tensor
+from osegnet.losses import hybrid_loss
+from osegnet.model import ModelConfig, OSegNetModel
+from osegnet.optim import Adam
+
+if sys.argv[1] == "glibc-defaults":
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(tensor._M_MMAP_THRESHOLD, 128 << 10)
+    mallopt(tensor._M_TRIM_THRESHOLD, 128 << 10)
+rng = np.random.default_rng(0)
+model = OSegNetModel(ModelConfig(q_order=3, input_size=64), rng)
+opt = Adam(model.named_parameters(), lr=1e-3)
+
+def step():
+    images = rng.uniform(0, 1, (4, 1, 64, 64)).astype(np.float32)
+    with tensor.no_graph():
+        x, y = tensor.Tensor(images), tensor.Tensor((images > 0.5).astype(np.float32))
+    loss = hybrid_loss(y, model.forward(x, training=True))
+    model.zero_grad()
+    loss.backward()
+    opt.step()
+
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def fake_libc(glibc=True, mmap_result=1):
+    """A stand-in libc whose mallopt records its calls."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return mmap_result if param == tensor_mod._M_MMAP_THRESHOLD else 1
+
+    libc = types.SimpleNamespace(mallopt=mallopt)
+    if glibc:
+        libc.gnu_get_libc_version = lambda: b"2.36"
+    return libc, calls
+
+
+class TestMallocPolicy:
+    """Importing the engine keeps freed arrays in glibc's heap, so steady-state
+    training steps take almost no page faults."""
+
+    @staticmethod
+    def step_faults(mode):
+        src = Path(tensor_mod.__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, mode], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @staticmethod
+    def steady(faults):
+        """Steps 3-6 take at most a tenth of step 1's faults (median)."""
+        return statistics.median(faults[2:]) <= faults[0] / 10
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None) if os.name == "posix" else None,
+                                    "gnu_get_libc_version"), reason="needs glibc")
+    def test_steady_state_steps_take_almost_no_page_faults(self):
+        faults = self.step_faults("engine")
+        assert self.steady(faults), faults
+        # Negative control: with glibc's default thresholds every step pages
+        # its arrays in afresh.
+        defaults = self.step_faults("glibc-defaults")
+        assert not self.steady(defaults), defaults
+
+    def test_sets_the_mmap_threshold_then_the_trim_threshold(self):
+        libc, calls = fake_libc()
+        tensor_mod._keep_freed_memory(libc)
+        assert calls == [(tensor_mod._M_MMAP_THRESHOLD, 32 << 20),
+                         (tensor_mod._M_TRIM_THRESHOLD, 1 << 30)]
+
+    def test_other_c_libraries_are_left_alone(self):
+        libc, calls = fake_libc(glibc=False)
+        tensor_mod._keep_freed_memory(libc)
+        assert calls == []
+
+    def test_no_trim_threshold_when_the_mmap_threshold_is_refused(self):
+        # The trim threshold alone would fix the mmap threshold at 128 KiB.
+        libc, calls = fake_libc(mmap_result=0)
+        tensor_mod._keep_freed_memory(libc)
+        assert calls == [(tensor_mod._M_MMAP_THRESHOLD, 32 << 20)]
