@@ -21,8 +21,8 @@ from .data import (AugmentConfig, IndexFileError, PgmError, augment, load_index,
                    resize, sample_stream, save_pgm, synth_generate, to_bytes, to_unit)
 from .gradcheck import run_all
 from .losses import LossConfig, hybrid_loss
-from .metrics import (ConfusionCounts, confusion_table, format_percent, metrics_csv,
-                      metrics_from_confusion, pixel_confusion, sample_confusion)
+from .metrics import (ConfusionCounts, _check_threshold, confusion_table, format_percent,
+                      metrics_csv, metrics_from_confusion, pixel_confusion, sample_confusion)
 from .model import (CANONICAL_DECODER, CANONICAL_ENCODER, CheckpointError, ModelConfig,
                     build_model, count_params, load_checkpoint, save_checkpoint)
 from .optim import Adam
@@ -99,6 +99,8 @@ def read_config_file(path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults < config file < flags. A bad value raises ValueError, a usage
+    error, before a command reads its data or writes any output."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = replace(cfg, **read_config_file(args.config))
@@ -114,6 +116,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         # The decoder filters are fixed at the canonical five; no flag sets them.
         raise ValueError(f"--encoder-channels / encoder_channels must list "
                          f"{len(CANONICAL_DECODER)} stage widths, got {len(cfg.encoder_channels)}")
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
+    if cfg.epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {cfg.epochs}")
+    _check_threshold(cfg.threshold)
     return cfg
 
 

@@ -102,7 +102,7 @@ def check_conv(seed: int = 0, corrupt_kind: str | None = None) -> KindResult:
     g = rng.uniform(0.5, 1.5, (2, 3, 3, 3)).astype(np.float32)
 
     def build_loss(ts):
-        return (conv2d(ts["x"], ts["kernel"], ts["bias"], stride=2, padding="same") * Tensor(g)).sum()
+        return (conv2d(ts["x"], ts["kernel"], ts["bias"], stride=2) * Tensor(g)).sum()
 
     eps = {"x": EPS_LINEAR, "kernel": EPS_LINEAR, "bias": EPS_LINEAR}
     return _check_components("conv", ISOLATED_THRESHOLD,
@@ -121,7 +121,7 @@ def _check_oper_family(kind: str, seed: int, q_orders, corrupt_kind: str | None)
 
             def build_loss(ts, q=q, g=g):
                 return (conv2d(power_expand(ts["x"], q), ts["kernel"], ts["bias"],
-                               stride=1, padding="same") * Tensor(g)).sum()
+                               stride=1) * Tensor(g)).sum()
         else:
             kernel = Tensor(rng.uniform(-0.4, 0.4, (2 * q, 3, 3, 3)).astype(np.float32))
             g = rng.uniform(0.5, 1.5, (1, 3, 8, 8)).astype(np.float32)

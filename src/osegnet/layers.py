@@ -4,7 +4,7 @@ An operational layer generalizes a convolution by feeding it the first Q
 elementwise powers of each input channel, so every kernel tap learns the
 coefficients of a degree-Q polynomial in its input. Q=1 is exactly a plain
 convolution, so the encoder's strided convolutions are operational layers
-at Q=1.
+at Q=1. Every layer is same-padded and has a bias.
 """
 
 from __future__ import annotations
@@ -20,28 +20,27 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out:
 
 
 class Oper2DLayer:
-    """Operational convolution: power expansion to Cin*Q channels, then conv.
+    """Operational convolution: power expansion to Cin*Q channels, then a
+    same-padded conv with bias.
 
     The kernel slice for source channel c, power q sits at input channel
     c*Q + q - 1, so the Q=1 kernel is laid out exactly like a plain conv's.
     """
 
     def __init__(self, rng: np.random.Generator, in_channels: int, out_channels: int,
-                 kernel_size: int, q_order: int, stride: int = 1, padding: str = "same"):
+                 kernel_size: int, q_order: int, stride: int = 1):
         if q_order < 1:
             raise ValueError(f"q_order must be >= 1, got {q_order}")
         k = kernel_size
         self.q_order = q_order
         self.stride = stride
-        self.padding = padding
         self.kernel = Tensor(glorot_uniform(rng, (out_channels, in_channels * q_order, k, k),
                                             fan_in=k * k * in_channels * q_order,
                                             fan_out=k * k * out_channels))
         self.bias = Tensor(np.zeros(out_channels, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(power_expand(x, self.q_order), self.kernel, self.bias,
-                      stride=self.stride, padding=self.padding)
+        return conv2d(power_expand(x, self.q_order), self.kernel, self.bias, stride=self.stride)
 
     def params(self):
         return [("kernel", self.kernel), ("bias", self.bias)]

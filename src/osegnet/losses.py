@@ -2,7 +2,8 @@
 
 Dice is computed per image and averaged over the batch; focal is a plain
 mean over pixels. Both are O(1) regardless of resolution, so their sum is a
-balanced objective at any image size.
+balanced objective at any image size. ``DICE_SMOOTH`` smooths dice's ratio
+and ``PROB_CLIP`` keeps focal's logarithms finite; both are fixed.
 """
 
 from __future__ import annotations
@@ -13,21 +14,20 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor
 
+DICE_SMOOTH = 1e-6
+PROB_CLIP = 1e-7
+
 
 @dataclass
 class LossConfig:
     gamma: float = 2.0
     alpha: float = 0.25
-    dice_smooth: float = 1e-6
-    prob_clip: float = 1e-7
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.dice_smooth <= 0 or self.prob_clip <= 0:
-            raise ValueError("dice_smooth and prob_clip must be positive")
 
 
 def _check_pair(p: Tensor, q: Tensor, op: str) -> None:
@@ -41,12 +41,12 @@ def _check_binary(p: Tensor, op: str) -> None:
         raise ValueError(f"{op}: ground-truth mask must be binary, found value {bad}")
 
 
-def dice_loss(p: Tensor, q: Tensor, smooth: float = 1e-6) -> Tensor:
+def dice_loss(p: Tensor, q: Tensor) -> Tensor:
     """1 - dice overlap, averaged over the batch.
 
     p is the binary ground truth, q the predicted probabilities. 4-D input
     is treated as a batch with per-image reduction over C, H, W; anything
-    else is treated as a single image. The smooth term decides empty-vs-empty
+    else is treated as a single image. DICE_SMOOTH decides empty-vs-empty
     agreement as loss 0.
     """
     _check_pair(p, q, "dice_loss")
@@ -54,21 +54,20 @@ def dice_loss(p: Tensor, q: Tensor, smooth: float = 1e-6) -> Tensor:
     axes = (1, 2, 3) if p.data.ndim == 4 else None
     inter = (p * q).sum(axis=axes)
     total = p.sum(axis=axes) + q.sum(axis=axes)
-    per_image = 1.0 - (2.0 * inter + smooth) / (total + smooth)
+    per_image = 1.0 - (2.0 * inter + DICE_SMOOTH) / (total + DICE_SMOOTH)
     return per_image.mean() if axes is not None else per_image
 
 
-def focal_loss(p: Tensor, q: Tensor, gamma: float = 2.0, alpha: float = 0.25,
-               prob_clip: float = 1e-7) -> Tensor:
+def focal_loss(p: Tensor, q: Tensor, gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
     """Class-balanced focusing loss, mean over all pixels.
 
     -alpha (1-q)^gamma p log q - (1-alpha) q^gamma (1-p) log(1-q), with q
-    clipped away from {0, 1} before the logarithms.
+    clipped into [PROB_CLIP, 1 - PROB_CLIP] before the logarithms.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     _check_pair(p, q, "focal_loss")
-    qc = q.clip(prob_clip, 1.0 - prob_clip)
+    qc = q.clip(PROB_CLIP, 1.0 - PROB_CLIP)
     pos = p * qc.log() * (1.0 - qc).pow_scalar(gamma) * (-alpha)
     neg = (1.0 - p) * (1.0 - qc).log() * qc.pow_scalar(gamma) * (-(1.0 - alpha))
     return (pos + neg).mean()
@@ -77,4 +76,4 @@ def focal_loss(p: Tensor, q: Tensor, gamma: float = 2.0, alpha: float = 0.25,
 def hybrid_loss(p: Tensor, q: Tensor, config: LossConfig | None = None) -> Tensor:
     """dice_loss + focal_loss, exactly the sum."""
     cfg = config or LossConfig()
-    return dice_loss(p, q, cfg.dice_smooth) + focal_loss(p, q, cfg.gamma, cfg.alpha, cfg.prob_clip)
+    return dice_loss(p, q) + focal_loss(p, q, cfg.gamma, cfg.alpha)

@@ -97,7 +97,7 @@ class OSegNetModel:
         self.encoder = []
         prev = 1
         for ch in config.encoder_channels:
-            conv = Oper2DLayer(rng, prev, ch, k, 1, stride=2, padding="same")
+            conv = Oper2DLayer(rng, prev, ch, k, 1, stride=2)
             self.encoder.append((conv, BatchNormLayer(ch)))
             prev = ch
 
@@ -107,7 +107,7 @@ class OSegNetModel:
             self.decoder.append((up, BatchNormLayer(f)))
             prev = f
 
-        self.final = Oper2DLayer(rng, prev, 1, k, q, stride=1, padding="same")
+        self.final = Oper2DLayer(rng, prev, 1, k, q, stride=1)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         """Run the network; inference (``training=False``) records no graph.

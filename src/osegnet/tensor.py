@@ -5,8 +5,9 @@ build a computation graph on the fly; calling ``backward()`` on a scalar loss
 walks that graph once in reverse topological order and accumulates gradients
 into ``.grad``. The heavy kernels (conv2d and its transpose) are written in
 im2col/col2im form, or on the padded grid for one channel, so the inner
-loops run as BLAS matmuls with a fixed summation order. Reductions
-accumulate in float64 and round the result back to float32.
+loops run as BLAS matmuls with a fixed summation order. Both are
+same-padded and always add a per-channel bias, the one form the network
+uses. Reductions accumulate in float64 and round the result back to float32.
 
 Both convolutions run on one lowering and its adjoint. ``_lower`` computes
 ``w2 @ im2col(padded)`` and its weight gradient; ``_adjoint_add`` adds
@@ -246,14 +247,6 @@ class Tensor:
 
         return Tensor(self.data + other.data, (self, other), "add", bwd)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        def bwd(g):
-            _accumulate(self, -g)
-
-        return Tensor(-self.data, (self,), "neg", bwd)
-
     def __sub__(self, other):
         other = Tensor._lift(other)
         Tensor._check_elementwise(self, other, "sub")
@@ -288,28 +281,6 @@ class Tensor:
             _accumulate(other, Tensor._reduce_to(-g * self.data / (other.data * other.data), other.shape))
 
         return Tensor(self.data / other.data, (self, other), "div", bwd)
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, int):
-            return self.pow_int(exponent)
-        return self.pow_scalar(float(exponent))
-
-    def pow_int(self, q: int) -> "Tensor":
-        """Elementwise integer power, q >= 1."""
-        if not isinstance(q, (int, np.integer)) or q < 1:
-            raise ValueError(f"pow_int requires an integer power >= 1, got {q!r}")
-        q = int(q)
-
-        def bwd(g):
-            if q == 1:
-                _accumulate(self, g)
-            else:
-                _accumulate(self, g * (q * self.data ** (q - 1)))
-
-        return Tensor(self.data ** q, (self,), f"pow{q}", bwd)
 
     def pow_scalar(self, p: float) -> "Tensor":
         """Elementwise real power for strictly positive inputs."""
@@ -555,29 +526,11 @@ def _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out, m):
         _col2im_add(dpad[i:i + r], buf[:r], k, stride, h_out, w_out)
 
 
-def _conv_geometry(h: int, w: int, k: int, stride: int, padding: str):
-    if padding == "same":
-        h_out, pt, pb = _same_pads(h, k, stride)
-        w_out, pl, pr = _same_pads(w, k, stride)
-    elif padding == "valid":
-        if h < k or w < k:
-            raise ShapeError(f"valid conv: kernel {k} exceeds input extent {h}x{w}")
-        h_out = (h - k) // stride + 1
-        w_out = (w - k) // stride + 1
-        pt = pb = pl = pr = 0
-    else:
-        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    if h + pt + pb < k or w + pl + pr < k:
-        raise ShapeError(f"kernel {k} exceeds padded input extent")
-    return h_out, w_out, pt, pb, pl, pr
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """Batched, same-padded 2-D cross-correlation plus a per-channel bias.
 
-
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: str = "same") -> Tensor:
-    """Batched 2-D cross-correlation.
-
-    x: (N, Cin, H, W); kernels: (Cout, Cin, k, k); bias: (Cout,) or None.
-    Same padding keeps H/stride (ceil) with the extra pad on the bottom/right.
+    x: (N, Cin, H, W); kernels: (Cout, Cin, k, k); bias: (Cout,). The output
+    keeps H/stride (ceil), with the extra pad on the bottom/right.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -590,21 +543,18 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     if cin != cin_k:
         raise ShapeError(f"conv2d: input has {cin} channels but kernels expect {cin_k} "
                          f"(input {x.shape}, kernels {kernels.shape})")
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
     k = kh
-    h_out, w_out, pt, pb, pl, pr = _conv_geometry(h, w, k, stride, padding)
+    h_out, pt, pb = _same_pads(h, k, stride)
+    w_out, pl, pr = _same_pads(w, k, stride)
 
     padded = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
     pad_shape = padded.shape  # not padded: the lowering keeps it only if dW needs it
     w2 = kernels.data.reshape(cout, cin * k * k)
     m = _chunk(n, w2, k, h_out * w_out, padded[0, 0].size)
     y, dW = _lower(padded, w2, k, stride, h_out, w_out, m)
-    y = y.reshape(n, cout, h_out, w_out)
-    if bias is not None:
-        y = y + bias.data.reshape(1, cout, 1, 1)
-
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    y = y.reshape(n, cout, h_out, w_out) + bias.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
         g3 = g.reshape(n, cout, h_out * w_out)
@@ -614,8 +564,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         # One output channel: dW's shifted gradient also gives dx, written over dpad.
         dpad = np.empty(pad_shape, dtype=np.float32) if wants_dx and cout == 1 else None
         _accumulate(kernels, dW(g3, dpad).astype(np.float32).reshape(kernels.shape))
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
+        _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
         if not wants_dx:
             return
         if dpad is None:
@@ -625,16 +574,15 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         # as adding into zeros does.
         _accumulate(x, dpad[:, :, pt:pt + h, pl:pl + w] + 0.0, owned=True)
 
-    return Tensor(y, parents, "conv2d", bwd)
+    return Tensor(y, (x, kernels, bias), "conv2d", bwd)
 
 
-def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
-                     stride: int = 1) -> Tensor:
-    """Transposed convolution: the exact adjoint of a same-padded strided conv2d.
+def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """Transposed convolution: the exact adjoint of a same-padded strided conv2d, plus bias.
 
-    x: (N, Cin, H, W); kernels: (Cin, Cout, k, k); output is (N, Cout, stride*H,
-    stride*W). Each input element scatters value * kernel into its output
-    window; overlaps sum.
+    x: (N, Cin, H, W); kernels: (Cin, Cout, k, k); bias: (Cout,); output is
+    (N, Cout, stride*H, stride*W). Each input element scatters value * kernel
+    into its output window; overlaps sum.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -647,7 +595,7 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     if cin != cin_k:
         raise ShapeError(f"conv2d_transpose: input has {cin} channels but kernels expect {cin_k} "
                          f"(input {x.shape}, kernels {kernels.shape})")
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise ShapeError(f"conv2d_transpose: bias shape {bias.shape} does not match {cout} output channels")
     k = kh
     h_up, w_up = stride * h, stride * w
@@ -661,20 +609,15 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     buf = np.zeros((n, cout, h_up + pt + pb, w_up + pl + pr), dtype=np.float32)
     m = _chunk(n, w2, k, h * w, buf[0, 0].size)
     _adjoint_add(buf, w2, x3, k, stride, h, w, m)
-    y = buf[:, :, pt:pt + h_up, pl:pl + w_up]
-    if bias is not None:
-        y = y + bias.data.reshape(1, cout, 1, 1)
-
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    y = buf[:, :, pt:pt + h_up, pl:pl + w_up] + bias.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
         dx, dw = _lower(np.pad(g, ((0, 0), (0, 0), (pt, pb), (pl, pr))), w2, k, stride, h, w, m, g3=x3)
         _accumulate(x, dx.reshape(n, cin, h, w))
         _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
+        _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 
-    return Tensor(y, parents, "conv2d_transpose", bwd)
+    return Tensor(y, (x, kernels, bias), "conv2d_transpose", bwd)
 
 
 def power_expand(x: Tensor, q_order: int) -> Tensor:

@@ -69,6 +69,43 @@ class TestConfigFile:
         assert resolved.batch_size == RunConfig().batch_size  # default survives
 
 
+class TestRunValues:
+    """A bad resolved value is a usage error naming its key, raised before a
+    command reads its data or writes any output."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key,value", [("batch_size", 0), ("batch_size", -2), ("epochs", -1),
+                                           ("threshold", 1.5), ("threshold", 0.0)])
+    def test_train_rejects_before_writing(self, dataset, tmp_path, capsys, key, value, source):
+        if source == "flag":
+            given = ("--" + key.replace("_", "-"), value)
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            given = ("--config", cfg)
+        short = () if key == "epochs" else ("--epochs", 1)  # in case the value is let through
+        out = tmp_path / "run"
+        assert run_cli("train", *SMALL, "--index", dataset, *short, *given, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {key} must")
+        assert not out.exists()  # no run.log, config.txt or checkpoint
+
+    @pytest.mark.parametrize("command,key,value", [("eval", "batch_size", 0),
+                                                   ("eval", "threshold", 1.0),
+                                                   ("predict", "threshold", 1.5)])
+    def test_eval_and_predict_reject_before_reading(self, dataset, tmp_path, capsys, command,
+                                                    key, value):
+        # The checkpoint is missing: reading it would fail with exit 1.
+        if command == "eval":
+            source = ("--index", dataset)
+        else:
+            source = ("--image", dataset.parent / "images" / "s00004.pgm", "--binary")
+        out = tmp_path / "out"
+        assert run_cli(command, *SMALL, *source, "--ckpt", tmp_path / "none.ckpt",
+                       "--" + key.replace("_", "-"), value, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {key} must")
+        assert not out.exists()
+
+
 class TestSynthCommand:
     def test_writes_dataset_and_log(self, tmp_path, capsys):
         out = tmp_path / "ds"

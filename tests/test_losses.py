@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from osegnet.losses import LossConfig, dice_loss, focal_loss, hybrid_loss
+from osegnet.losses import DICE_SMOOTH, PROB_CLIP, LossConfig, dice_loss, focal_loss, hybrid_loss
 from osegnet.tensor import ShapeError, Tensor
 
 
@@ -18,6 +18,7 @@ class TestLossConfig:
     def test_defaults(self):
         cfg = LossConfig()
         assert cfg.gamma == 2.0 and cfg.alpha == 0.25
+        assert (DICE_SMOOTH, PROB_CLIP) == (1e-6, 1e-7)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -26,8 +27,6 @@ class TestLossConfig:
             LossConfig(alpha=0.0)
         with pytest.raises(ValueError):
             LossConfig(alpha=1.0)
-        with pytest.raises(ValueError):
-            LossConfig(dice_smooth=0.0)
 
 
 class TestDice:
@@ -149,8 +148,8 @@ class TestHybrid:
         q = rng.uniform(0.05, 0.95, (2, 1, 4, 4)).astype(np.float32)
         cfg = LossConfig()
         total = hybrid_loss(Tensor(p), Tensor(q), cfg).item()
-        parts = (dice_loss(Tensor(p), Tensor(q), cfg.dice_smooth).item()
-                 + focal_loss(Tensor(p), Tensor(q), cfg.gamma, cfg.alpha, cfg.prob_clip).item())
+        parts = (dice_loss(Tensor(p), Tensor(q)).item()
+                 + focal_loss(Tensor(p), Tensor(q), cfg.gamma, cfg.alpha).item())
         assert total == np.float32(parts) or abs(total - parts) < 1e-9
 
     def test_default_config_used_when_omitted(self):
