@@ -840,22 +840,31 @@ class TestPowerExpand:
             assert np.array_equal(out.data[:, 0::q], x.data)
 
     def test_rejects_bad_order(self):
-        for q in (0, -2):
-            with pytest.raises(ValueError):
-                power_expand(Tensor(np.ones((1, 1, 1, 1))), q)
+        with pytest.raises(ValueError):
+            power_expand(Tensor(np.ones((1, 1, 1, 1))), 0)
 
-    def test_grad_matches_fd(self):
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            power_expand(Tensor(np.ones((1, 1, 1, 1))), -2)
+
+    @staticmethod
+    def assert_grad_matches_fd(q):
         rng = np.random.default_rng(10)
         x = Tensor(rng.uniform(-0.9, 0.9, (1, 2, 3, 3)).astype(np.float32))
-        g = rng.uniform(0.5, 1.5, (1, 10, 3, 3)).astype(np.float32)
-        for q in (2, 5):
-            def f(t, q=q):
-                return (power_expand(t, q) * Tensor(g[:, :2 * q])).sum()
+        g = rng.uniform(0.5, 1.5, (1, 2 * q, 3, 3)).astype(np.float32)
 
-            x.zero_grad()
-            f(x).backward()
-            numeric = finite_diff_grad(lambda t: f(t).item(), x, 3e-3)
-            assert rel_err(x.grad, numeric.data) < 1e-3, q
+        def f(t):
+            return (power_expand(t, q) * Tensor(g)).sum()
+
+        f(x).backward()
+        numeric = finite_diff_grad(lambda t: f(t).item(), x, 3e-3)
+        assert rel_err(x.grad, numeric.data) < 1e-3
+
+    def test_grad_matches_fd(self):
+        self.assert_grad_matches_fd(5)
+
+    def test_grad_matches_fd_q2(self):
+        self.assert_grad_matches_fd(2)
 
 
 class TestBatchnormOp:
