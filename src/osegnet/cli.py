@@ -19,31 +19,30 @@ import numpy as np
 from . import __version__
 from .data import (AugmentConfig, IndexFileError, PgmError, augment, load_index, load_pgm,
                    resize, sample_stream, save_pgm, synth_generate, to_bytes, to_unit)
-from .gradcheck import run_all
+from .gradcheck import ISOLATED_KINDS, TINY_Q_ORDER, TINY_SIZE, run_all
 from .losses import LossConfig, hybrid_loss
 from .metrics import (ConfusionCounts, _check_threshold, confusion_table, format_percent,
                       metrics_csv, metrics_from_confusion, pixel_confusion, sample_confusion)
 from .model import (CANONICAL_DECODER, CANONICAL_ENCODER, CheckpointError, ModelConfig,
                     build_model, count_params, load_checkpoint, save_checkpoint)
-from .optim import Adam
+from .optim import BETA1, BETA2, EPS, Adam, _check_lr
 from .tensor import ShapeError, Tensor, no_graph
 
 
 @dataclass
 class RunConfig:
-    q_order: int = 3
-    input_size: int = 224
+    q_order: int = ModelConfig.q_order
+    input_size: int = ModelConfig.input_size
     encoder_channels: tuple = CANONICAL_ENCODER
     lr: float = 1e-4
     epochs: int = 50
     batch_size: int = 4
     seed: int = 0
     augment: bool = True
-    gamma: float = 2.0
-    alpha: float = 0.25
+    gamma: float = LossConfig.gamma
+    alpha: float = LossConfig.alpha
     threshold: float = 0.5
     data_index: str = "index.tsv"
-    out_dir: str = "out"
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(q_order=self.q_order, input_size=self.input_size,
@@ -109,7 +108,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, f.name, None)
         if flag is not None:
             overrides[f.name] = flag
-    if overrides.get("encoder_channels") is not None and isinstance(overrides["encoder_channels"], str):
+    if isinstance(overrides.get("encoder_channels"), str):
         overrides["encoder_channels"] = _parse_value("encoder_channels", overrides["encoder_channels"])
     cfg = replace(cfg, **overrides)
     if len(cfg.encoder_channels) != len(CANONICAL_DECODER):
@@ -121,6 +120,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {cfg.epochs}")
     _check_threshold(cfg.threshold)
+    _check_lr(cfg.lr)
+    # Built only for their validators: q_order, input_size, widths, gamma, alpha.
+    cfg.model_config()
+    cfg.loss_config()
     return cfg
 
 
@@ -167,7 +170,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    model_cfg = cfg.model_config()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -177,7 +179,7 @@ def cmd_train(args) -> int:
     staged = _stage_records(records, cfg.input_size)
 
     rng = np.random.default_rng(cfg.seed)
-    model = build_model(model_cfg, rng)
+    model = build_model(cfg.model_config(), rng)
     opt = Adam(model.named_parameters(), lr=cfg.lr)
     loss_cfg = cfg.loss_config()
     aug_cfg = AugmentConfig(enabled=cfg.augment)
@@ -187,7 +189,7 @@ def cmd_train(args) -> int:
                   [f"train_samples = {len(staged)}",
                    f"trainable_params = {trainable}",
                    f"non_trainable_params = {non_trainable}",
-                   "adam = beta1 0.9, beta2 0.999, eps 1e-07"])
+                   f"adam = beta1 {BETA1}, beta2 {BETA2}, eps {EPS}"])
     ckpt_path = out_dir / "checkpoint.ckpt"
     save_checkpoint(model, ckpt_path)
     (out_dir / "config.txt").write_text("\n".join(cfg.lines()) + "\n", encoding="utf-8")
@@ -426,10 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gradcheck", help="finite-difference gradient verification")
     _add_common(p, out_required=False)
-    p.add_argument("--q", type=int, default=2, help="polynomial order of the tiny model")
-    p.add_argument("--size", type=int, default=16, help="tiny model input size")
-    p.add_argument("--corrupt", choices=("conv", "oper", "oper-transpose", "batchnorm",
-                                         "dice", "focal"),
+    p.add_argument("--q", type=int, default=TINY_Q_ORDER, help="polynomial order of the tiny model")
+    p.add_argument("--size", type=int, default=TINY_SIZE, help="tiny model input size")
+    p.add_argument("--corrupt", choices=ISOLATED_KINDS,
                    help="negative control: skew this kind's gradients to force a failure")
     p.set_defaults(func=cmd_gradcheck)
     return parser
@@ -440,10 +441,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ShapeError, PgmError, IndexFileError, CheckpointError,
-            OSError) as exc:
-        if isinstance(exc, (ValueError,)) and not isinstance(
-                exc, (ShapeError, PgmError, IndexFileError)):
+    except (ValueError, CheckpointError, OSError) as exc:
+        if isinstance(exc, ValueError) and not isinstance(exc, (ShapeError, PgmError, IndexFileError)):
             # Bad configuration or flag values are usage errors.
             print(f"usage error: {exc}", file=sys.stderr)
             return 2

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import BN_EPS, BN_MOMENTUM
 from .losses import dice_loss, focal_loss, hybrid_loss
-from .model import ModelConfig, build_model
+from .model import Q_ORDERS, ModelConfig, build_model
 from .tensor import Tensor, batchnorm, conv2d, conv2d_transpose, finite_diff_grad, power_expand
 
 ISOLATED_THRESHOLD = 1e-3
@@ -29,6 +30,10 @@ END_TO_END_THRESHOLD = 1e-2
 SCALE_FLOOR = 1e-2
 
 ISOLATED_KINDS = ("conv", "oper", "oper-transpose", "batchnorm", "dice", "focal")
+
+# The tiny end-to-end model; its order and input size are the callers' defaults.
+TINY_Q_ORDER, TINY_SIZE = 2, 16
+TINY_CONFIG = dict(encoder_channels=(2, 3), decoder_filters=(3, 2))
 
 # Step sizes per argument curvature: linear arguments take the large step.
 EPS_LINEAR = 1e-2
@@ -109,9 +114,9 @@ def check_conv(seed: int = 0, corrupt_kind: str | None = None) -> KindResult:
                              _grad_components(build_loss, tensors, eps), corrupt_kind)
 
 
-def _check_oper_family(kind: str, seed: int, q_orders, corrupt_kind: str | None) -> KindResult:
+def _check_oper_family(kind: str, seed: int, corrupt_kind: str | None) -> KindResult:
     components = []
-    for q in q_orders:
+    for q in Q_ORDERS:
         rng = np.random.default_rng([seed, 2, q])
         x = Tensor(rng.uniform(-0.9, 0.9, (1, 2, 4, 4)).astype(np.float32))
         bias = Tensor(rng.uniform(-0.2, 0.2, 3).astype(np.float32))
@@ -137,13 +142,12 @@ def _check_oper_family(kind: str, seed: int, q_orders, corrupt_kind: str | None)
     return _check_components(kind, ISOLATED_THRESHOLD, components, corrupt_kind)
 
 
-def check_oper(seed: int = 0, q_orders=(1, 2, 3, 4, 5), corrupt_kind: str | None = None) -> KindResult:
-    return _check_oper_family("oper", seed, q_orders, corrupt_kind)
+def check_oper(seed: int = 0, corrupt_kind: str | None = None) -> KindResult:
+    return _check_oper_family("oper", seed, corrupt_kind)
 
 
-def check_oper_transpose(seed: int = 0, q_orders=(1, 2, 3, 4, 5),
-                         corrupt_kind: str | None = None) -> KindResult:
-    return _check_oper_family("oper-transpose", seed, q_orders, corrupt_kind)
+def check_oper_transpose(seed: int = 0, corrupt_kind: str | None = None) -> KindResult:
+    return _check_oper_family("oper-transpose", seed, corrupt_kind)
 
 
 def check_batchnorm(seed: int = 0, corrupt_kind: str | None = None) -> KindResult:
@@ -161,7 +165,7 @@ def check_batchnorm(seed: int = 0, corrupt_kind: str | None = None) -> KindResul
         # Fresh stat buffers per evaluation: training-mode output does not
         # read them, but keeping them fixed makes every call identical.
         out = batchnorm(ts["x"], ts["gamma"], ts["beta"], rm.copy(), rv.copy(),
-                        0.99, 1e-5, True)
+                        BN_MOMENTUM, BN_EPS, True)
         return (out * Tensor(g)).sum()
 
     eps = {"x": EPS_POLY, "gamma": EPS_POLY, "beta": EPS_LINEAR}
@@ -199,9 +203,6 @@ def check_focal(seed: int = 0, corrupt_kind: str | None = None) -> KindResult:
     return _check_loss("focal", seed, corrupt_kind)
 
 
-TINY_CONFIG = dict(input_size=16, encoder_channels=(2, 3), decoder_filters=(3, 2))
-
-
 def _param_kind(name: str) -> str:
     if ".bn." in name:
         return "batchnorm"
@@ -212,7 +213,7 @@ def _param_kind(name: str) -> str:
     return "oper-transpose"
 
 
-def check_end_to_end(seed: int = 0, q_order: int = 2, size: int = 16,
+def check_end_to_end(seed: int = 0, q_order: int = TINY_Q_ORDER, size: int = TINY_SIZE,
                      corrupt_kind: str | None = None, max_params: int | None = None) -> list:
     """FD-check the hybrid loss of a tiny model against every parameter.
 
@@ -220,8 +221,7 @@ def check_end_to_end(seed: int = 0, q_order: int = 2, size: int = 16,
     at the end-to-end threshold. max_params caps the number of checked
     elements per tensor (None checks all of them).
     """
-    config = ModelConfig(q_order=q_order, input_size=size, **{
-        k: v for k, v in TINY_CONFIG.items() if k != "input_size"})
+    config = ModelConfig(q_order=q_order, input_size=size, **TINY_CONFIG)
     rng = np.random.default_rng([seed, 5])
     model = build_model(config, rng)
     x = Tensor(rng.random((2, 1, size, size), dtype=np.float32))
@@ -259,16 +259,10 @@ def check_end_to_end(seed: int = 0, q_order: int = 2, size: int = 16,
     return results
 
 
-def run_all(seed: int = 0, q_order: int = 2, size: int = 16,
+def run_all(seed: int = 0, q_order: int = TINY_Q_ORDER, size: int = TINY_SIZE,
             corrupt_kind: str | None = None) -> tuple[list, bool]:
     """The full report: six isolated kinds plus the end-to-end breakdown."""
-    results = [
-        check_conv(seed, corrupt_kind),
-        check_oper(seed, corrupt_kind=corrupt_kind),
-        check_oper_transpose(seed, corrupt_kind=corrupt_kind),
-        check_batchnorm(seed, corrupt_kind),
-        check_dice(seed, corrupt_kind),
-        check_focal(seed, corrupt_kind),
-    ]
+    results = [check(seed, corrupt_kind) for check in (
+        check_conv, check_oper, check_oper_transpose, check_batchnorm, check_dice, check_focal)]
     results.extend(check_end_to_end(seed, q_order, size, corrupt_kind))
     return results, all(r.passed for r in results)

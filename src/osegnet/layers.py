@@ -13,6 +13,9 @@ import numpy as np
 
 from .tensor import Tensor, batchnorm, conv2d, conv2d_transpose, power_expand
 
+BN_MOMENTUM = 0.99  # running statistics keep this share of their value per training step
+BN_EPS = 1e-5
+
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -74,12 +77,10 @@ class BatchNormLayer:
 
     gamma/beta are trainable; running_mean/running_var are plain arrays
     updated in place during training-mode forward passes and consumed in
-    inference mode.
+    inference mode, with the fixed ``BN_MOMENTUM`` and ``BN_EPS``.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.99, eps: float = 1e-5):
-        self.momentum = momentum
-        self.eps = eps
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels, dtype=np.float32))
         self.beta = Tensor(np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -87,7 +88,7 @@ class BatchNormLayer:
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         return batchnorm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                         self.momentum, self.eps, training)
+                         BN_MOMENTUM, BN_EPS, training)
 
     def params(self):
         return [("bn.gamma", self.gamma), ("bn.beta", self.beta)]

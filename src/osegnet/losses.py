@@ -58,7 +58,8 @@ def dice_loss(p: Tensor, q: Tensor) -> Tensor:
     return per_image.mean() if axes is not None else per_image
 
 
-def focal_loss(p: Tensor, q: Tensor, gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
+def focal_loss(p: Tensor, q: Tensor, gamma: float = LossConfig.gamma,
+               alpha: float = LossConfig.alpha) -> Tensor:
     """Class-balanced focusing loss, mean over all pixels.
 
     -alpha (1-q)^gamma p log q - (1-alpha) q^gamma (1-p) log(1-q), with q

@@ -12,6 +12,7 @@ No skip connections: the decoder consumes only the bottleneck features.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -23,6 +24,8 @@ from .tensor import ShapeError, Tensor, no_graph
 
 CANONICAL_ENCODER = (16, 32, 64, 128, 256)
 CANONICAL_DECODER = (128, 64, 32, 16, 8)
+KERNEL_SIZE = 3  # every encoder, decoder and final layer kernel is 3x3
+Q_ORDERS = (1, 2, 3, 4, 5)  # the polynomial orders a model accepts
 
 CHECKPOINT_MAGIC = b"OSGN"
 CHECKPOINT_VERSION = 1
@@ -47,7 +50,6 @@ class ModelConfig:
     input_size: int = 224
     encoder_channels: tuple = CANONICAL_ENCODER
     decoder_filters: tuple | None = None
-    kernel_size: int = 3
 
     def __post_init__(self):
         self.encoder_channels = tuple(int(c) for c in self.encoder_channels)
@@ -59,15 +61,8 @@ class ModelConfig:
                     f"decoder_filters must be given explicitly for a "
                     f"{len(self.encoder_channels)}-stage encoder (default covers 5 stages)")
         self.decoder_filters = tuple(int(f) for f in self.decoder_filters)
-        self.validate()
-
-    @property
-    def depth(self) -> int:
-        return len(self.encoder_channels)
-
-    def validate(self) -> None:
-        if not isinstance(self.q_order, (int, np.integer)) or not 1 <= self.q_order <= 5:
-            raise ValueError(f"q_order must be an integer in [1, 5], got {self.q_order!r}")
+        if not isinstance(self.q_order, (int, np.integer)) or self.q_order not in Q_ORDERS:
+            raise ValueError(f"q_order must be an integer in {Q_ORDERS}, got {self.q_order!r}")
         self.q_order = int(self.q_order)
         if not self.encoder_channels or any(c < 1 for c in self.encoder_channels):
             raise ValueError(f"encoder_channels must be positive ints, got {self.encoder_channels!r}")
@@ -77,13 +72,15 @@ class ModelConfig:
                 f"encoder depth {self.depth}")
         if any(f < 1 for f in self.decoder_filters):
             raise ValueError(f"decoder_filters must be positive ints, got {self.decoder_filters!r}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be a positive odd int, got {self.kernel_size!r}")
         divisor = 2 ** self.depth
         if self.input_size < divisor or self.input_size % divisor != 0:
             raise ValueError(
-                f"input_size {self.input_size} must be divisible by {divisor} "
-                f"({self.depth} stride-2 stages)")
+                f"input_size must be divisible by {divisor} ({self.depth} stride-2 "
+                f"stages), got {self.input_size}")
+
+    @property
+    def depth(self) -> int:
+        return len(self.encoder_channels)
 
 
 class OSegNetModel:
@@ -91,8 +88,7 @@ class OSegNetModel:
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        k = config.kernel_size
-        q = config.q_order
+        k = KERNEL_SIZE
 
         self.encoder = []
         prev = 1
@@ -103,11 +99,11 @@ class OSegNetModel:
 
         self.decoder = []
         for f in config.decoder_filters:
-            up = Oper2DTransposeLayer(rng, prev, f, k, q, stride=2)
+            up = Oper2DTransposeLayer(rng, prev, f, k, config.q_order, stride=2)
             self.decoder.append((up, BatchNormLayer(f)))
             prev = f
 
-        self.final = Oper2DLayer(rng, prev, 1, k, q, stride=1)
+        self.final = Oper2DLayer(rng, prev, 1, k, config.q_order, stride=1)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         """Run the network; inference (``training=False``) records no graph.
@@ -261,8 +257,8 @@ def load_checkpoint(path, config: ModelConfig) -> OSegNetModel:
     widths) are reported against the first offending tensor in model order.
     """
     stored = {}
-    order = []
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, "magic bytes")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic bytes {magic!r}, not a checkpoint file")
@@ -277,12 +273,15 @@ def load_checkpoint(path, config: ModelConfig) -> OSegNetModel:
                 raise CheckpointError(f"non-ASCII tensor name in checkpoint: {exc}") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of {name}"))
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"dims of {name}"))
-            n_bytes = 4 * int(np.prod(dims, dtype=np.int64)) if ndim else 4
+            n_bytes = 4 * math.prod(dims)
+            if n_bytes > size - fh.tell():
+                # A corrupt size must not reach read() as a length or an allocation.
+                raise CheckpointError(f"truncated checkpoint: {name} declares {n_bytes} data "
+                                      f"bytes, {size - fh.tell()} left in the file")
             data = np.frombuffer(_read_exact(fh, n_bytes, f"data of {name}"), dtype="<f4")
             if name in stored:
                 raise CheckpointError(f"duplicate tensor {name} in checkpoint")
             stored[name] = data.reshape(dims)
-            order.append(name)
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last declared tensor")
 
@@ -296,12 +295,10 @@ def load_checkpoint(path, config: ModelConfig) -> OSegNetModel:
             raise CheckpointError(
                 f"shape mismatch for {name}: checkpoint has {stored[name].shape}, "
                 f"config expects {arr.shape}")
-    extra = [n for n in order if n not in dict(expected)]
+    extra = [n for n in stored if n not in dict(expected)]
     if extra:
         raise CheckpointError(f"checkpoint contains unexpected tensor {extra[0]}")
 
-    for name, t in model.named_parameters():
-        t.data[...] = stored[name]
-    for name, arr in model.named_buffers():
+    for name, arr in expected:  # the model's own arrays, so these copies load it
         arr[...] = stored[name]
     return model

@@ -22,16 +22,19 @@ from .tensor import Tensor
 # Elements per pass of the update loop: 256 KiB per float32 block.
 BLOCK = 1 << 16
 
+# Moment decay rates and the denominator floor; only the learning rate is set per run.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-7
+
+
+def _check_lr(lr: float) -> None:
+    if lr <= 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+
 
 class Adam:
-    def __init__(self, named_params: list, lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-7):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+    def __init__(self, named_params: list, lr: float = 1e-4):
+        _check_lr(lr)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.names = [name for name, _ in named_params]
         self.params: list[Tensor] = [t for _, t in named_params]
@@ -58,11 +61,14 @@ class Adam:
     def step(self) -> None:
         """Apply one update from the gradients currently held by the parameters."""
         for name, t in zip(self.names, self.params):
-            if t.grad is None or not self._finite(t.grad.reshape(-1)):
+            if t.grad is None:
+                raise FloatingPointError(
+                    f"parameter {name} has no gradient yet: run backward() before step()")
+            if not self._finite(t.grad.reshape(-1)):
                 raise FloatingPointError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         t_ = self.step_count
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         c1, c2 = 1.0 - b1, 1.0 - b2
         bc1 = 1.0 - b1 ** t_
         bc2 = 1.0 - b2 ** t_

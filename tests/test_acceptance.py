@@ -23,7 +23,7 @@ from osegnet.layers import Oper2DLayer, Oper2DTransposeLayer
 from osegnet.losses import dice_loss, focal_loss, hybrid_loss
 from osegnet.metrics import (ConfusionCounts, detect_sample, format_percent,
                              metrics_from_confusion, pixel_confusion)
-from osegnet.model import ModelConfig, build_model, count_params
+from osegnet.model import KERNEL_SIZE, ModelConfig, build_model, count_params
 from osegnet.tensor import Tensor, conv2d, conv2d_transpose
 
 # The caller's PYTHONPATH may be relative (``PYTHONPATH=src``), which points
@@ -128,7 +128,7 @@ def test_criterion_4_parameter_affinity():
     diffs = {totals[q] - totals[q - 1] for q in range(2, 6)}
 
     cfg = ModelConfig(input_size=32)
-    k2 = cfg.kernel_size ** 2
+    k2 = KERNEL_SIZE ** 2
     chain = [cfg.encoder_channels[-1], *cfg.decoder_filters, 1]
     closed_form = sum(k2 * cin * cout for cin, cout in zip(chain, chain[1:]))
 

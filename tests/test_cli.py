@@ -1,5 +1,7 @@
 """CLI tests: argument plumbing, exit codes, artifacts of every subcommand."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,10 @@ def dataset(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def flag(key):
+    return "--q" if key == "q_order" else "--" + key.replace("_", "-")
 
 
 class TestConfigFile:
@@ -75,10 +81,11 @@ class TestRunValues:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key,value", [("batch_size", 0), ("batch_size", -2), ("epochs", -1),
-                                           ("threshold", 1.5), ("threshold", 0.0)])
+                                           ("threshold", 1.5), ("threshold", 0.0), ("lr", -1),
+                                           ("gamma", -1), ("alpha", 1.5)])
     def test_train_rejects_before_writing(self, dataset, tmp_path, capsys, key, value, source):
         if source == "flag":
-            given = ("--" + key.replace("_", "-"), value)
+            given = (flag(key), value)
         else:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
@@ -91,17 +98,21 @@ class TestRunValues:
 
     @pytest.mark.parametrize("command,key,value", [("eval", "batch_size", 0),
                                                    ("eval", "threshold", 1.0),
-                                                   ("predict", "threshold", 1.5)])
+                                                   ("predict", "threshold", 1.5),
+                                                   ("eval", "q_order", 9),
+                                                   ("predict", "q_order", 9),
+                                                   ("eval", "input_size", 48),
+                                                   ("eval --predictor oracle", "q_order", 0)])
     def test_eval_and_predict_reject_before_reading(self, dataset, tmp_path, capsys, command,
                                                     key, value):
         # The checkpoint is missing: reading it would fail with exit 1.
-        if command == "eval":
+        if command.startswith("eval"):
             source = ("--index", dataset)
         else:
             source = ("--image", dataset.parent / "images" / "s00004.pgm", "--binary")
         out = tmp_path / "out"
-        assert run_cli(command, *SMALL, *source, "--ckpt", tmp_path / "none.ckpt",
-                       "--" + key.replace("_", "-"), value, "--out", out) == 2
+        assert run_cli(*command.split(), *SMALL, *source, "--ckpt", tmp_path / "none.ckpt",
+                       flag(key), value, "--out", out) == 2
         assert capsys.readouterr().err.startswith(f"usage error: {key} must")
         assert not out.exists()
 
@@ -125,7 +136,37 @@ class TestSynthCommand:
         assert run_cli("synth", "--count", 5, "--size", 33, "--out", tmp_path / "x") == 2
 
 
+# config.txt of `train --index <index> --epochs 0` at every other default;
+# run.log is the same settings between its header and the run's counts.
+ZERO_EPOCH_CONFIG = """\
+q_order = 3
+input_size = 224
+encoder_channels = 16,32,64,128,256
+lr = 0.0001
+epochs = 0
+batch_size = 4
+seed = 0
+augment = True
+gamma = 2.0
+alpha = 0.25
+threshold = 0.5
+data_index = <index>
+"""
+ZERO_EPOCH_RUN_LOG = ("artifact version 0.1.0\ncommand = train\n" + ZERO_EPOCH_CONFIG + """\
+train_samples = 8
+trainable_params = 1572769
+non_trainable_params = 1488
+adam = beta1 0.9, beta2 0.999, eps 1e-07
+""")
+
+
 class TestTrainCommand:
+    def test_zero_epoch_run_log_and_config_golden_bytes(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("train", "--index", dataset, "--epochs", 0, "--out", out) == 0
+        for name, golden in (("config.txt", ZERO_EPOCH_CONFIG), ("run.log", ZERO_EPOCH_RUN_LOG)):
+            assert (out / name).read_bytes() == golden.replace("<index>", str(dataset)).encode(), name
+
     def test_zero_epochs_writes_initial_checkpoint(self, dataset, tmp_path):
         out = tmp_path / "run"
         code = run_cli("train", *SMALL, "--index", dataset, "--epochs", 0,
@@ -298,6 +339,16 @@ class TestEvalCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: --encoder-channels / encoder_channels") and "got 4" in err
+
+    def test_checkpoint_record_past_the_end_is_a_runtime_error(self, dataset, tmp_path, capsys):
+        # Its declared data, 4 * (2**32 - 1)**2 bytes, is past int64's range.
+        name = b"encoder.stage1.kernel"
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes(b"OSGN" + struct.pack("<IIIH", 1, 1, 1, len(name)) + name
+                         + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1))
+        code = run_cli("eval", *SMALL, "--index", dataset, "--ckpt", ckpt, "--out", tmp_path / "ev")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: truncated checkpoint")
 
     def test_train_only_index_rejected(self, tmp_path):
         root = tmp_path / "ds"

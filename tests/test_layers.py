@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from osegnet.layers import BatchNormLayer, Oper2DLayer, Oper2DTransposeLayer, glorot_uniform
+from osegnet.layers import (BN_EPS, BN_MOMENTUM, BatchNormLayer, Oper2DLayer, Oper2DTransposeLayer,
+                            glorot_uniform)
 from osegnet.tensor import Tensor, conv2d, conv2d_transpose
 
 
@@ -142,12 +143,13 @@ class TestBatchNormLayer:
         assert np.allclose(out.data[:, 1], -0.7)
 
     def test_momentum_schedule_matches_by_hand(self):
-        layer = BatchNormLayer(1, momentum=0.9)
+        assert BN_MOMENTUM == 0.99
+        layer = BatchNormLayer(1)
         x = Tensor(np.full((1, 1, 2, 2), 2.0, dtype=np.float32))
         layer(x, training=True)
-        assert np.isclose(layer.running_mean[0], 0.1 * 2.0)
+        assert np.isclose(layer.running_mean[0], 0.02)  # 0.01 * 2
         layer(x, training=True)
-        assert np.isclose(layer.running_mean[0], 0.9 * 0.2 + 0.1 * 2.0)
+        assert np.isclose(layer.running_mean[0], 0.0398)  # 0.99 * 0.02 + 0.01 * 2
 
     def test_inference_mode_is_deterministic_affine(self):
         layer = BatchNormLayer(1)
@@ -155,7 +157,7 @@ class TestBatchNormLayer:
         layer.running_var[:] = 4.0
         x = Tensor(np.full((1, 1, 1, 1), 5.0, dtype=np.float32))
         out = layer(x, training=False)
-        assert np.isclose(out.data.item(), (5.0 - 1.0) / np.sqrt(4.0 + layer.eps), atol=1e-6)
+        assert np.isclose(out.data.item(), (5.0 - 1.0) / np.sqrt(4.0 + BN_EPS), atol=1e-6)
 
     def test_params_and_buffers_split(self):
         layer = BatchNormLayer(4)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from osegnet import model as model_mod
-from osegnet.model import (CANONICAL_DECODER, CANONICAL_ENCODER, CheckpointError,
+from osegnet.model import (CANONICAL_DECODER, CANONICAL_ENCODER, KERNEL_SIZE, CheckpointError,
                            ModelConfig, OSegNetModel, build_model, count_params,
                            load_checkpoint, save_checkpoint)
 from osegnet.optim import Adam
@@ -26,7 +26,7 @@ def tiny_model(seed=0, **overrides):
 def closed_form_counts(cfg):
     """Independent parameter count: conv, transpose, final, plus 2 bn tensors
     per block; buffers are the 2 running stats per bn."""
-    k2 = cfg.kernel_size ** 2
+    k2 = KERNEL_SIZE ** 2
     q = cfg.q_order
     trainable = 0
     buffers = 0
@@ -68,10 +68,6 @@ class TestModelConfig:
     def test_decoder_length_must_match_depth(self):
         with pytest.raises(ValueError, match="length"):
             ModelConfig(input_size=16, encoder_channels=(2, 3), decoder_filters=(3,))
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            ModelConfig(kernel_size=4)
 
 
 class TestForward:
@@ -192,6 +188,13 @@ def write_raw_checkpoint(path, q_order, entries, version=1):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def write_oversized_record(path, dims):
+    """A one-record checkpoint whose declared dims need more data than the file holds."""
+    name = b"encoder.stage1.kernel"
+    path.write_bytes(b"OSGN" + struct.pack("<IIIH", 1, 2, 1, len(name)) + name
+                     + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + bytes(16))
+
+
 def model_entries(model):
     return ([(n, t.data) for n, t in model.named_parameters()]
             + [(n, a) for n, a in model.named_buffers()])
@@ -279,6 +282,15 @@ class TestCheckpoint:
         (tmp_path / "cut.ckpt").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(tmp_path / "cut.ckpt", cfg)
+
+    # 4 * prod(dims) is past int64's range in the first case and 14.4 GB in the
+    # second; the file holds 16 data bytes.
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (60000, 60000)])
+    def test_declared_size_past_the_end_is_truncation(self, tmp_path, dims):
+        path = tmp_path / "huge.ckpt"
+        write_oversized_record(path, dims)
+        with pytest.raises(CheckpointError, match="truncated checkpoint: .* declares .* 16 left"):
+            load_checkpoint(path, ModelConfig(**TINY))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model, cfg = tiny_model()

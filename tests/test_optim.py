@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from osegnet import optim as optim_mod
-from osegnet.optim import Adam
+from osegnet.optim import BETA1, BETA2, EPS, Adam
 from osegnet.tensor import Tensor
 
 
@@ -95,6 +95,11 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="dec.w"):
             opt.step()
         assert x.data[0] == 1.0  # aborted before touching anything
+        y.grad = None  # as on a freshly loaded checkpoint
+        with pytest.raises(FloatingPointError,
+                           match=r"parameter dec\.w has no gradient yet: run backward\(\) before"):
+            opt.step()
+        assert x.data[0] == 1.0
 
     def test_inf_gradient_rejected(self):
         x = Tensor([1.0])
@@ -115,7 +120,7 @@ class TestAdam:
 
     def test_default_hyperparameters(self):
         opt = Adam([("x", Tensor([1.0]))])
-        assert (opt.lr, opt.beta1, opt.beta2, opt.eps) == (1e-4, 0.9, 0.999, 1e-7)
+        assert (opt.lr, BETA1, BETA2, EPS) == (1e-4, 0.9, 0.999, 1e-7)
 
 
 def out_of_place_adam_step(params, ms, vs, step, lr, b1=0.9, b2=0.999, eps=1e-7):
