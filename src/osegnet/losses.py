@@ -18,14 +18,18 @@ DICE_SMOOTH = 1e-6
 PROB_CLIP = 1e-7
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+
+
 @dataclass
 class LossConfig:
     gamma: float = 2.0
     alpha: float = 0.25
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        _check_gamma(self.gamma)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -65,8 +69,7 @@ def focal_loss(p: Tensor, q: Tensor, gamma: float = LossConfig.gamma,
     -alpha (1-q)^gamma p log q - (1-alpha) q^gamma (1-p) log(1-q), with q
     clipped into [PROB_CLIP, 1 - PROB_CLIP] before the logarithms.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     _check_pair(p, q, "focal_loss")
     qc = q.clip(PROB_CLIP, 1.0 - PROB_CLIP)
     pos = p * qc.log() * (1.0 - qc).pow_scalar(gamma) * (-alpha)

@@ -27,12 +27,12 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-7
 
 
 def _check_lr(lr: float) -> None:
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
 
 
 class Adam:
-    def __init__(self, named_params: list, lr: float = 1e-4):
+    def __init__(self, named_params: list, lr: float):
         _check_lr(lr)
         self.lr = lr
         self.step_count = 0

@@ -13,28 +13,24 @@ Both convolutions run on one lowering and its adjoint. ``_lower`` computes
 ``w2 @ im2col(padded)`` and its weight gradient; ``_adjoint_add`` adds
 ``col2im(w2.T @ g)`` into a padded buffer. conv2d is the lowering forward
 and the adjoint backward; conv2d_transpose is the adjoint forward and the
-lowering backward, which takes the weight gradient in the same chunk loop
-as the input gradient. Either holds at most ``COLS_BUDGET`` bytes of
-buffers at a time (but always at least one sample's). A batch whose columns
-fit is lowered in one go and its columns are kept for the weight gradient.
-A larger batch is lowered a chunk of samples at a time through one reused
-buffer; a deferred weight gradient keeps only the padded input and rebuilds
-each chunk's columns. Every sample goes through the same BLAS call either
-way and the float64 weight gradient adds samples in batch order, so
-chunking changes no bits.
+lowering backward. Each builds the columns of its whole batch at once, and
+the lowering keeps them, not the padded input, for the weight gradient,
+which adds the per-sample float32 products in batch order in float64. Every
+sample goes through the same BLAS call as it would in a batch of its own,
+so a sample's output and input gradient do not depend on the batch it is in.
 
 A lowering whose ``w2`` has one row (conv2d with one output channel, as the
 final layer's, or conv2d_transpose with one input channel) builds no
-columns. It works on the padded grid through the k*k tap offsets, so each
-product is a GEMM whose inner dimension is C or k*k, not C*k*k: the forward
-sums the tap rows of ``W_taps.T @ padded[n]`` at their strided offsets in
-(ky, kx) order, and the weight gradient and the adjoint multiply by the
-shifted gradient ``G[n]`` (``_shift_taps``), whose row per tap holds the
-gradient at that tap's offset; conv2d's backward builds G once per chunk
-for both and writes the adjoint over its padded buffer. The k*k grid rows
-and, in the adjoint, the C rows of ``W_taps @ G[n]`` count against
-``COLS_BUDGET``. The sums run in another order than the column form's, so
-results differ from it by float32 rounding; chunking still changes no bits.
+columns. It works on the padded grid through the k*k tap offsets, one sample
+at a time, so each product is a GEMM whose inner dimension is C or k*k, not
+C*k*k: the forward sums the tap rows of ``W_taps.T @ padded[n]`` at their
+strided offsets in (ky, kx) order, and the weight gradient and the adjoint
+multiply by the shifted gradient ``G[n]`` (``_shift_taps``), whose row per
+tap holds the gradient at that tap's offset; conv2d's backward builds each
+G once for both and writes the adjoint over its padded buffer. Each of
+these loops holds one sample's k*k grid rows (and, in the adjoint, C rows
+of ``W_taps @ G[n]``) at a time. The sums run in another order than the
+column form's, so results differ from it by float32 rounding.
 
 Batchnorm keeps float64 statistics per channel block: the variance and the
 backward run over blocks of channels (about ``_BN_BLOCK_BYTES`` of float64
@@ -63,9 +59,6 @@ import ctypes
 import os
 
 import numpy as np
-
-# Most bytes of im2col columns one conv2d or conv2d_transpose call builds at a time.
-COLS_BUDGET = 16 << 20
 
 # Bytes of float64 one batchnorm channel block spans (a block takes two channels
 # at least): the variance and backward of a block stay in cache.
@@ -339,9 +332,10 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         x = self.data
-        # Piecewise form avoids exp overflow for large |x|.
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(np.float32)
+        # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1,
+        # so exp never overflows.
+        e = np.exp(-np.abs(x))
+        y = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
         def bwd(g):
             _accumulate(self, g * (y * (1.0 - y)))
@@ -382,148 +376,103 @@ def _col2im_add(buf: np.ndarray, cols: np.ndarray, k: int, stride: int,
 def _sum_taps(y: np.ndarray, z: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> None:
     """y = sum over taps of z's tap row at that tap's strided offset, in (ky, kx) order.
 
-    y: (r, h_out, w_out); z: (r, k*k, Hp, Wp). The first tap is copied in.
+    One sample: y (h_out, w_out); z (k*k, Hp, Wp). The first tap is copied in.
     """
     for t in range(k * k):
         ky, kx = divmod(t, k)
-        tap = z[:, t, ky:ky + (h_out - 1) * stride + 1:stride, kx:kx + (w_out - 1) * stride + 1:stride]
+        tap = z[t, ky:ky + (h_out - 1) * stride + 1:stride, kx:kx + (w_out - 1) * stride + 1:stride]
         if t:
             y += tap
         else:
             y[...] = tap
 
 
-def _shift_taps(shifted: np.ndarray, g3: np.ndarray, k: int, stride: int, h_out: int,
+def _shift_taps(shifted: np.ndarray, g: np.ndarray, k: int, stride: int, h_out: int,
                 w_out: int) -> np.ndarray:
-    """Fill shifted (r, k*k, Hp, Wp) with G: row t holds g3 (r, 1, h_out*w_out)
-    at tap t's strided offset and zeros elsewhere, so that z @ G.T and
-    W @ G are _sum_taps' weight and input adjoints."""
+    """Fill one sample's shifted (k*k, Hp, Wp) with G: row t holds g (1,
+    h_out*w_out) at tap t's strided offset and zeros elsewhere, so that
+    z @ G.T and W @ G are _sum_taps' weight and input adjoints."""
     shifted.fill(0.0)
-    g = g3.reshape(-1, h_out, w_out)
+    g = g.reshape(h_out, w_out)
     for t in range(k * k):
         ky, kx = divmod(t, k)
-        shifted[:, t, ky:ky + (h_out - 1) * stride + 1:stride, kx:kx + (w_out - 1) * stride + 1:stride] = g
+        shifted[t, ky:ky + (h_out - 1) * stride + 1:stride, kx:kx + (w_out - 1) * stride + 1:stride] = g
     return shifted
 
 
-def _chunk(n: int, w2: np.ndarray, k: int, hw: int, grid: int) -> int:
-    """Samples per chunk: as many as COLS_BUDGET holds buffers of, at least one.
-
-    w2: (rows, C*k*k); hw: output pixels; grid: padded pixels. Per sample a
-    lowering builds C*k*k rows of hw columns, while a one-row lowering
-    builds k*k rows of the padded grid (Z or G) plus, in the adjoint, the C
-    rows of W @ G.
-    """
-    c_kk = w2.shape[1]
-    per_sample = (k * k + c_kk // (k * k)) * grid if w2.shape[0] == 1 else c_kk * hw
-    return max(1, min(n, COLS_BUDGET // (4 * per_sample)))
-
-
-def _lower(padded, w2, k, stride, h_out, w_out, m, g3=None):
-    """y = w2 @ im2col(padded), m samples at a time, and its weight gradient.
+def _lower(padded, w2, k, stride, h_out, w_out):
+    """y = w2 @ im2col(padded) and a function dW(g3) for its weight gradient.
 
     padded: (N, C, Hp, Wp); w2: (Cout, C*k*k). Returns y as (N, Cout,
-    h_out*w_out) and dW, the float64 (Cout, C*k*k) sum over samples of
-    g3[n] @ cols[n].T. Given g3, dW is that array, summed in y's chunk loop;
-    without, it is a function dW(g3). Each sample goes through the same BLAS
-    calls whatever the chunking, and dW adds the per-sample float32 products
-    in batch order onto float64 zeros, so chunking changes no bits.
+    h_out*w_out) and dW, which gives the float64 (Cout, C*k*k) sum over
+    samples of g3[n] @ cols[n].T, adding the float32 products in batch order
+    onto float64 zeros. The whole batch's columns are built once and dW
+    keeps them, not padded.
 
-    The columns go through one reused buffer. A deferred dW keeps them when
-    the batch is one chunk; otherwise it keeps padded and rebuilds each
-    chunk's columns. With one row in w2 no columns are built: Z = W_taps.T
-    @ padded[n] (k*k x Hp*Wp) gives y as the sum of Z's tap rows at their
-    offsets, and dW = padded[n] @ G[n].T with G from _shift_taps. A deferred
-    one-row dW(g3, dpad) also writes the adjoint W_taps @ G[n] over the
-    whole of dpad[n] (N, C, Hp, Wp) from the same G.
+    With one row in w2 no columns are built and each sample goes through its
+    own BLAS calls: Z = W_taps.T @ padded[n] (k*k x Hp*Wp) gives y as the
+    sum of Z's tap rows at their offsets, and dW = padded[n] @ G[n].T with G
+    from _shift_taps. A one-row dW(g3, dpad) also writes the adjoint W_taps
+    @ G[n] over the whole of dpad[n] (N, C, Hp, Wp) from the same G.
     """
     n, c = padded.shape[:2]
     cout, rows = w2.shape
-    hw, grid = h_out * w_out, padded.shape[2] * padded.shape[3]
-    one_row = cout == 1
-    dw_shape = (c, k * k) if one_row else (cout, rows)
+    hw = h_out * w_out
+    if cout > 1:
+        cols = _im2col(padded, k, stride, h_out, w_out,
+                       np.empty((n, c, k, k, h_out, w_out), dtype=np.float32)).reshape(n, rows, hw)
+        y = np.matmul(w2, cols)
 
-    def new_buf():
-        return np.empty((m, k * k, *padded.shape[2:]) if one_row else (m, rows, hw), dtype=np.float32)
+        def dW(g3, dpad=None):  # dpad is for the one-row form only
+            dw = np.zeros((cout, rows))
+            part = np.empty((cout, rows), dtype=np.float32)
+            for a, b in zip(g3, cols):
+                dw += np.matmul(a, b.T, out=part)
+            return dw
 
-    def columns(buf, i, r):
-        """Chunk i's columns, written into buf."""
-        _im2col(padded[i:i + r], k, stride, h_out, w_out, buf[:r].reshape(r, c, k, k, h_out, w_out))
-        return buf[:r]
+        return y, dW
 
-    def add_dw(dw, buf, i, r, g3, dpad=None):
-        """dw += chunk i's per-sample products; a lowering's buf holds the chunk's columns.
-
-        Given dpad (one row only), W_taps @ G is also written over its chunk.
-        """
-        if one_row:
-            shifted = _shift_taps(buf[:r], g3[i:i + r], k, stride, h_out, w_out)
-            if dpad is not None:
-                np.matmul(w2.reshape(c, k * k), shifted.reshape(r, k * k, grid),
-                          out=dpad[i:i + r].reshape(r, c, grid))
-            pairs = zip(padded[i:i + r].reshape(r, c, grid), shifted.reshape(r, k * k, grid))
-        else:
-            pairs = zip(g3[i:i + r], buf[:r])
-        part = np.empty(dw_shape, dtype=np.float32)
-        for a, b in pairs:
-            dw += np.matmul(a, b.T, out=part)
-
-    buf = new_buf()
-    y = np.empty((n, cout, hw), dtype=np.float32)
-    dw = None if g3 is None else np.zeros(dw_shape)
-    for i in range(0, n, m):
-        r = min(m, n - i)
-        if one_row:
-            np.matmul(w2.reshape(c, k * k).T, padded[i:i + r].reshape(r, c, grid),
-                      out=buf[:r].reshape(r, k * k, grid))
-            _sum_taps(y[i:i + r].reshape(r, h_out, w_out), buf[:r], k, stride, h_out, w_out)
-        else:
-            np.matmul(w2, columns(buf, i, r), out=y[i:i + r])
-        if dw is not None:
-            add_dw(dw, buf, i, r, g3)
-    if dw is not None:
-        return y, dw.reshape(cout, rows)
-    kept = buf if m == n and not one_row else None
-    if kept is not None:
-        padded = None
+    grid = padded.shape[2] * padded.shape[3]
+    w_taps = w2.reshape(c, k * k)
+    z = np.empty((k * k, *padded.shape[2:]), dtype=np.float32)
+    y = np.empty((n, 1, hw), dtype=np.float32)
+    for i in range(n):
+        np.matmul(w_taps.T, padded[i].reshape(c, grid), out=z.reshape(k * k, grid))
+        _sum_taps(y[i].reshape(h_out, w_out), z, k, stride, h_out, w_out)
 
     def dW(g3, dpad=None):
-        dw = np.zeros(dw_shape)
-        buf = new_buf() if kept is None else kept
-        for i in range(0, n, m):
-            r = min(m, n - i)
-            if kept is None and not one_row:
-                columns(buf, i, r)
-            add_dw(dw, buf, i, r, g3, dpad)
-        return dw.reshape(cout, rows)
+        dw = np.zeros((c, k * k))
+        part = np.empty((c, k * k), dtype=np.float32)
+        shifted = np.empty((k * k, *padded.shape[2:]), dtype=np.float32)
+        for i in range(n):
+            g = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, grid)
+            if dpad is not None:
+                np.matmul(w_taps, g, out=dpad[i].reshape(c, grid))
+            dw += np.matmul(padded[i].reshape(c, grid), g.T, out=part)
+        return dw.reshape(1, rows)
 
     return y, dW
 
 
-def _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out, m):
-    """dpad += col2im(w2.T @ g3), m samples at a time through one column buffer.
+def _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out):
+    """dpad += col2im(w2.T @ g3), the whole batch's columns at once.
 
     dpad: (N, C, Hp, Wp); w2: (Cout, C*k*k); g3: (N, Cout, h_out*w_out).
     With one row in w2 no columns are built: dpad[n] += W_taps (C x k*k)
-    @ G[n], with G from _shift_taps.
+    @ G[n], one sample at a time, with G from _shift_taps.
     """
     n, c = dpad.shape[:2]
-    if w2.shape[0] == 1:
-        grid = dpad.shape[2] * dpad.shape[3]
-        shifted = np.empty((m, k * k, *dpad.shape[2:]), dtype=np.float32)
-        prod = np.empty((m, c, *dpad.shape[2:]), dtype=np.float32)
-        for i in range(0, n, m):
-            r = min(m, n - i)
-            _shift_taps(shifted[:r], g3[i:i + r], k, stride, h_out, w_out)
-            np.matmul(w2.reshape(c, k * k), shifted[:r].reshape(r, k * k, grid),
-                      out=prod[:r].reshape(r, c, grid))
-            dpad[i:i + r] += prod[:r]
+    if w2.shape[0] > 1:
+        cols = np.matmul(w2.T, g3).reshape(n, c, k, k, h_out, w_out)
+        _col2im_add(dpad, cols, k, stride, h_out, w_out)
         return
-    buf = np.empty((m, c, k, k, h_out, w_out), dtype=np.float32)
-    for i in range(0, n, m):
-        r = min(m, n - i)
-        np.matmul(w2.T, g3[i:i + r], out=buf[:r].reshape(r, c * k * k, h_out * w_out))
-        _col2im_add(dpad[i:i + r], buf[:r], k, stride, h_out, w_out)
+    grid = dpad.shape[2] * dpad.shape[3]
+    shifted = np.empty((k * k, *dpad.shape[2:]), dtype=np.float32)
+    prod = np.empty(dpad.shape[1:], dtype=np.float32)
+    for i in range(n):
+        g = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, grid)
+        np.matmul(w2.reshape(c, k * k), g, out=prod.reshape(c, grid))
+        dpad[i] += prod
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -552,8 +501,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     padded = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
     pad_shape = padded.shape  # not padded: the lowering keeps it only if dW needs it
     w2 = kernels.data.reshape(cout, cin * k * k)
-    m = _chunk(n, w2, k, h_out * w_out, padded[0, 0].size)
-    y, dW = _lower(padded, w2, k, stride, h_out, w_out, m)
+    y, dW = _lower(padded, w2, k, stride, h_out, w_out)
     y = y.reshape(n, cout, h_out, w_out) + bias.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
@@ -569,7 +517,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             return
         if dpad is None:
             dpad = np.zeros(pad_shape, dtype=np.float32)
-            _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out, m)
+            _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out)
         # + 0.0 copies the slice and turns a -0.0 written over dpad into +0.0,
         # as adding into zeros does.
         _accumulate(x, dpad[:, :, pt:pt + h, pl:pl + w] + 0.0, owned=True)
@@ -607,14 +555,15 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) 
     w2 = kernels.data.reshape(cin, cout * k * k)
     x3 = x.data.reshape(n, cin, h * w)
     buf = np.zeros((n, cout, h_up + pt + pb, w_up + pl + pr), dtype=np.float32)
-    m = _chunk(n, w2, k, h * w, buf[0, 0].size)
-    _adjoint_add(buf, w2, x3, k, stride, h, w, m)
+    _adjoint_add(buf, w2, x3, k, stride, h, w)
     y = buf[:, :, pt:pt + h_up, pl:pl + w_up] + bias.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
-        dx, dw = _lower(np.pad(g, ((0, 0), (0, 0), (pt, pb), (pl, pr))), w2, k, stride, h, w, m, g3=x3)
-        _accumulate(x, dx.reshape(n, cin, h, w))
+        dx, dW = _lower(np.pad(g, ((0, 0), (0, 0), (pt, pb), (pl, pr))), w2, k, stride, h, w)
+        dw = dW(x3)
+        del dW  # frees the columns before the input gradient is accumulated
         _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
+        _accumulate(x, dx.reshape(n, cin, h, w))
         _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 
     return Tensor(y, (x, kernels, bias), "conv2d_transpose", bwd)

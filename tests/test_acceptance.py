@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import osegnet
 from osegnet.data import load_index, synth_generate
@@ -306,6 +307,51 @@ def test_criterion_9_brute_force_oracle():
     report(9, "exhaustive 4x4 confusion oracle", ok,
            f"{checked} ground truths x sampled predictions, exact agreement "
            f"{agree}, {elapsed:.0f}s")
+
+
+# sha256 of one canonical Q=3 training step at 224 px: the output, the loss
+# and every parameter's name and gradient, in registration order (model seed
+# 0; image and a 10% pixel mask from default_rng(batch), made as the CLI makes
+# a batch). Batch 4 and batch 8 give the final layer and decoder block 5's
+# transpose their training shapes at two batch sizes.
+TRAIN_STEP_SHA256 = {
+    4: "77529b61a376559435aadef469b5b23d4ca08c122568ed8c787421c7177123ae",
+    8: "40035f57d85a10b3193ac642ea00cfcfcd461263a9bc2da56a0252ab3b86bfd4",
+}
+
+TRAIN_STEP = """
+import hashlib, sys
+import numpy as np
+import pytest
+from osegnet.losses import hybrid_loss
+from osegnet.model import ModelConfig, OSegNetModel
+from osegnet.tensor import Tensor, no_graph
+
+batch = int(sys.argv[1])
+model = OSegNetModel(ModelConfig(q_order=3, input_size=224), np.random.default_rng(0))
+rng = np.random.default_rng(batch)
+with no_graph():
+    x = Tensor(rng.uniform(0, 1, (batch, 1, 224, 224)).astype(np.float32))
+    y = Tensor((rng.uniform(0, 1, (batch, 1, 224, 224)) < 0.1).astype(np.float32))
+out = model.forward(x, training=True)
+loss = hybrid_loss(y, out)
+model.zero_grad()
+loss.backward()
+digest = hashlib.sha256(out.data.tobytes() + loss.data.tobytes())
+for name, t in model.named_parameters():
+    digest.update(name.encode() + t.grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("batch", sorted(TRAIN_STEP_SHA256))
+def test_training_step_golden_bytes_at_224_px(tmp_path, batch):
+    """One 224 px training step keeps its bits, in a child with BLAS pinned
+    to one thread as criterion 8 runs the CLI."""
+    proc = subprocess.run([sys.executable, "-c", TRAIN_STEP, str(batch)], cwd=tmp_path,
+                          env=PINNED_ENV, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == TRAIN_STEP_SHA256[batch]
 
 
 def test_cli_subprocess_imports_the_tested_package(tmp_path):

@@ -82,7 +82,8 @@ class TestRunValues:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key,value", [("batch_size", 0), ("batch_size", -2), ("epochs", -1),
                                            ("threshold", 1.5), ("threshold", 0.0), ("lr", -1),
-                                           ("gamma", -1), ("alpha", 1.5)])
+                                           ("lr", "nan"), ("lr", "inf"), ("gamma", -1),
+                                           ("gamma", "nan"), ("gamma", "inf"), ("alpha", 1.5)])
     def test_train_rejects_before_writing(self, dataset, tmp_path, capsys, key, value, source):
         if source == "flag":
             given = (flag(key), value)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from osegnet import optim as optim_mod
+from osegnet.cli import RunConfig
 from osegnet.optim import BETA1, BETA2, EPS, Adam
 from osegnet.tensor import Tensor
 
@@ -119,8 +120,10 @@ class TestAdam:
         assert x.grad[0] == 0.0
 
     def test_default_hyperparameters(self):
-        opt = Adam([("x", Tensor([1.0]))])
-        assert (opt.lr, BETA1, BETA2, EPS) == (1e-4, 0.9, 0.999, 1e-7)
+        # The run config owns the learning rate's default; Adam takes it as given.
+        with pytest.raises(TypeError):
+            Adam([("x", Tensor([1.0]))])
+        assert (RunConfig().lr, BETA1, BETA2, EPS) == (1e-4, 0.9, 0.999, 1e-7)
 
 
 def out_of_place_adam_step(params, ms, vs, step, lr, b1=0.9, b2=0.999, eps=1e-7):

@@ -65,6 +65,19 @@ class TestElementwise:
         assert 0.0 <= y.data[0] < 1e-30
         assert y.data[1] == 1.0  # saturates in float32
 
+    def test_sigmoid_keeps_the_bytes_of_the_three_exp_form(self):
+        # The sigmoid takes exp(-|x|) once; it gives the bytes of the form
+        # that took it three times, on a 224 px batch-4 array of logits.
+        special = np.array([0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 88.0, -88.0, 200.0, -200.0,
+                            np.inf, -np.inf], np.float32)
+        rng = np.random.default_rng(40)
+        x = np.concatenate([special, 20 * rng.standard_normal(4 * 224 * 224 - special.size)])
+        x = x.astype(np.float32)
+        three_exp = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                             np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(np.float32)
+        y = Tensor(x).sigmoid().data
+        assert y.dtype == np.float32 and y.tobytes() == three_exp.tobytes()
+
     def test_clip_gradient_mask(self):
         x = Tensor([-1.0, 0.3, 2.0])
         y = x.clip(0.0, 1.0)
@@ -342,21 +355,27 @@ class TestConv2d:
             assert rel_err(t.grad, numeric.data) < 1e-3, name
 
 
+def run_in_slices(run, x0, k0, b0, g0, stride, size):
+    """run() on the batch ``size`` samples per call: y and the input gradient
+    concatenated, and the kernel gradient as the float64 sum of each sample's
+    own gradient in batch order. A one-sample kernel gradient is that
+    sample's float32 product, so the sum is the whole batch's arithmetic."""
+    n = len(x0)
+    one = [run(x0[i:i + 1], k0, b0, g0[i:i + 1], stride) for i in range(n)]
+    parts = one if size == 1 else [run(x0[i:i + size], k0, b0, g0[i:i + size], stride)
+                                   for i in range(0, n, size)]
+    kernel = np.zeros(k0.shape)
+    for part in one:
+        kernel += part["kernel"]
+    return {"y": np.concatenate([p["y"] for p in parts]),
+            "x": np.concatenate([p["x"] for p in parts]),
+            "kernel": kernel.astype(np.float32)}
+
+
 class TestConv2dColumnBudget:
-    """conv2d lowers a batch whose im2col columns exceed COLS_BUDGET a chunk
-    of samples at a time; the chunked lowering must give the same bits."""
-
-    @staticmethod
-    def cols_bytes_per_sample(cin, k, y):
-        return 4 * cin * k * k * y.shape[2] * y.shape[3]
-
-    @staticmethod
-    def grid_bytes_per_sample(cin, k, x, stride):
-        """A one-output-channel conv2d's buffers per sample: k*k rows of the
-        padded grid (Z or G) and the Cin rows of the adjoint's product."""
-        _, pt, pb = tensor_mod._same_pads(x.shape[2], k, stride)
-        _, pl, pr = tensor_mod._same_pads(x.shape[3], k, stride)
-        return 4 * (k * k + cin) * (x.shape[2] + pt + pb) * (x.shape[3] + pl + pr)
+    """conv2d lowers its whole batch at once and keeps its columns for the
+    weight gradient; the batch must give the bits of its samples lowered in
+    slices, as a caller that splits a batch lowers them."""
 
     @staticmethod
     def run(x0, k0, b0, g0, stride):
@@ -365,7 +384,7 @@ class TestConv2dColumnBudget:
         (y * Tensor(g0[:, :, :y.shape[2], :y.shape[3]])).sum().backward()
         return {"y": y.data, "x": x.grad, "kernel": kernel.grad, "bias": bias.grad}
 
-    def check_chunking(self, monkeypatch, cout, stride, chunk):
+    def check_chunking(self, cout, stride, chunk):
         rng = np.random.default_rng(21)
         x0 = rng.standard_normal((3, 4, 11, 9)).astype(np.float32)
         k0 = rng.standard_normal((cout, 4, 3, 3)).astype(np.float32)
@@ -373,38 +392,22 @@ class TestConv2dColumnBudget:
         g0 = rng.standard_normal((3, cout, 11, 9)).astype(np.float32)
         g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
         whole = self.run(x0, k0, b0, g0, stride)
-
-        chunks = []
-        lower = tensor_mod._lower
-
-        def spy(padded, w2, k, s, h_out, w_out, m):
-            chunks.append(m)
-            return lower(padded, w2, k, s, h_out, w_out, m)
-
-        if cout == 1:
-            per_sample = self.grid_bytes_per_sample(4, 3, x0, stride)
-        else:
-            per_sample = self.cols_bytes_per_sample(4, 3, whole["y"])
-        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", chunk * per_sample)
-        monkeypatch.setattr(tensor_mod, "_lower", spy)
-        chunked = self.run(x0, k0, b0, g0, stride)
-        assert chunks == [chunk]  # 3 samples in chunks of 1+1+1 or 2+1
-        for name, arr in whole.items():
-            assert np.array_equal(chunked[name], arr), name
-            assert chunked[name].tobytes() == arr.tobytes(), name
+        sliced = run_in_slices(self.run, x0, k0, b0, g0, stride, chunk)  # 1+1+1 or 2+1
+        for name, arr in sliced.items():
+            assert np.array_equal(whole[name], arr), name
+            assert whole[name].tobytes() == arr.tobytes(), name
 
     @pytest.mark.parametrize("chunk", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
-    def test_chunking_changes_no_bits(self, monkeypatch, stride, chunk):
-        self.check_chunking(monkeypatch, 2, stride, chunk)
+    def test_chunking_changes_no_bits(self, stride, chunk):
+        self.check_chunking(2, stride, chunk)
 
     @pytest.mark.parametrize("chunk", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
-    def test_one_output_channel_chunking_changes_no_bits(self, monkeypatch, stride, chunk):
-        # A budget of one or two samples' grid buffers: a few KiB.
-        self.check_chunking(monkeypatch, 1, stride, chunk)
+    def test_one_output_channel_chunking_changes_no_bits(self, stride, chunk):
+        self.check_chunking(1, stride, chunk)
 
-    def test_weight_gradient_adds_samples_in_batch_order(self, monkeypatch):
+    def test_weight_gradient_adds_samples_in_batch_order(self):
         # A float64 sum of a few float32 products is exact, so it hides the
         # order of the additions unless the terms span a wide range: here
         # sample 2 cancels sample 0 and the small samples round against them.
@@ -417,10 +420,17 @@ class TestConv2dColumnBudget:
         g0 = rng.standard_normal((5, 2, 8, 8)).astype(np.float32)
         g0[2] = g0[0]
         whole = self.run(x0, k0, b0, g0, 1)
-        per_sample = self.cols_bytes_per_sample(4, 3, whole["y"])
-        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 2 * per_sample)  # chunks 2+2+1
-        chunked = self.run(x0, k0, b0, g0, 1)
-        assert chunked["kernel"].tobytes() == whole["kernel"].tobytes()
+        products = [self.run(x0[i:i + 1], k0, b0, g0[i:i + 1], 1)["kernel"] for i in range(5)]
+
+        def float64_sum(terms):
+            total = np.zeros(k0.shape)
+            for term in terms:
+                total += term
+            return total.astype(np.float32).tobytes()
+
+        assert whole["kernel"].tobytes() == float64_sum(products)
+        # Negative control: the same products added in reverse order round otherwise.
+        assert whole["kernel"].tobytes() != float64_sum(products[::-1])
 
     @staticmethod
     def held_bytes(x, kernel):
@@ -433,20 +443,13 @@ class TestConv2dColumnBudget:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("chunked", [True, False])
-    def test_columns_not_held_until_backward_when_chunked(self, monkeypatch, chunked):
+    def test_whole_batch_columns_are_held_until_backward(self):
         rng = np.random.default_rng(22)
         x = Tensor(rng.standard_normal((3, 4, 16, 16)).astype(np.float32))
         kernel = Tensor(rng.standard_normal((2, 4, 3, 3)).astype(np.float32))
         cols_bytes = 3 * 4 * 3 * 3 * 16 * 16 * 4
-        # One sample's columns per chunk, or a budget above the whole buffer.
-        budget = cols_bytes // 3 if chunked else 2 * cols_bytes
-        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", budget)
         held, y = self.held_bytes(x, kernel)
-        if chunked:  # padded input and output only, less than one chunk's columns
-            assert held < cols_bytes // 3
-        else:  # negative control: the whole-batch lowering keeps its columns
-            assert held >= cols_bytes
+        assert held >= cols_bytes
         y.sum().backward()
         assert x.grad.any() and kernel.grad.any()
 
@@ -501,22 +504,26 @@ def assert_within_fp32_bound(new, x0, k0, b0, g0, stride, names):
 
 class TestOneOutputChannelBackward:
     """With one output channel conv2d builds no im2col columns: it works on
-    the padded grid through the k*k tap offsets, whole and chunked. Its sums
-    run in another order than the column form's, so they are held to the
-    column form within the float32 forward-error bound."""
+    the padded grid through the k*k tap offsets, one sample at a time, on a
+    batch or (chunked) on one sample per call. Its sums run in another order
+    than the column form's, so they are held to the column form within the
+    float32 forward-error bound."""
 
     @staticmethod
-    def grads(monkeypatch, x0, k0, b0, g0, stride):
+    def grads(monkeypatch, x0, k0, b0, g0, stride, chunked):
+        """The batch's results, and the samples of each shifted gradient built."""
         calls = []
         shift_taps = tensor_mod._shift_taps
 
-        def spy(shifted, *args):
-            calls.append(shifted.shape[0])
-            return shift_taps(shifted, *args)
+        def spy(shifted, g, *args):
+            calls.append(len(g))
+            return shift_taps(shifted, g, *args)
 
         monkeypatch.setattr(tensor_mod, "_shift_taps", spy)
-        out = TestConv2dColumnBudget.run(x0, k0, b0, g0, stride)
-        return out, calls
+        run = TestConv2dColumnBudget.run
+        if chunked:
+            return run_in_slices(run, x0, k0, b0, g0, stride, 1), calls
+        return run(x0, k0, b0, g0, stride), calls
 
     @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
@@ -527,14 +534,13 @@ class TestOneOutputChannelBackward:
         b0 = rng.standard_normal(1).astype(np.float32)
         g0 = rng.standard_normal((3, 1, 11, 9)).astype(np.float32)
         g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
-        if chunked:  # one sample per chunk
-            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 1)
-        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, stride)
-        # The column-free path ran: one shifted gradient per chunk gives the
+        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, stride, chunked)
+        # The column-free path ran: one shifted gradient per sample gives the
         # weight gradient and the adjoint.
-        assert calls == ([1] * 3 if chunked else [3])
+        assert calls == [1] * 3
         assert_within_fp32_bound(new, x0, k0, b0, g0, stride, ("y", "x", "kernel"))
-        assert new["bias"].tobytes() == column_form(x0, k0, b0, g0, stride)["bias"].tobytes()
+        if not chunked:
+            assert new["bias"].tobytes() == column_form(x0, k0, b0, g0, stride)["bias"].tobytes()
 
     @pytest.mark.parametrize("chunked", [False, True])
     def test_taps_add_in_column_order(self, monkeypatch, chunked):
@@ -549,18 +555,14 @@ class TestOneOutputChannelBackward:
         k0[0, :, 0, 1] = np.float32(-1e12)
         b0 = np.zeros(1, np.float32)
         g0 = np.repeat(rng.standard_normal((2, 1, 8, 1)).astype(np.float32), 8, axis=3)
-        if chunked:
-            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 1)
-        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, 1)
-        assert calls == ([1] * 2 if chunked else [2])
+        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, 1, chunked)
+        assert calls == [1] * 2
         ref = column_form(x0, k0, b0, g0, 1)
         assert np.median(np.abs(ref["x"])) < 1e3  # the big taps cancelled off the edges
         assert_within_fp32_bound(new, x0, k0, b0, g0, 1, ("x",))
 
-    @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
-    def test_dx_keeps_the_bytes_of_the_adjoint_added_into_zeros(self, monkeypatch, stride,
-                                                                 chunked):
+    def test_dx_keeps_the_bytes_of_the_adjoint_added_into_zeros(self, stride):
         # The backward writes W_taps @ G straight over an empty dpad; the input
         # gradient must be that of adding the adjoint into zeros, which turns
         # -0.0 into +0.0, and dW that of the lowering's own dW(g3). h = x * 1
@@ -572,8 +574,6 @@ class TestOneOutputChannelBackward:
         g0 = rng.standard_normal((3, 1, 11, 9)).astype(np.float32)
         g0[g0 > 0.3] = 0.0
         g0[g0 < -1.0] = -0.0
-        if chunked:
-            monkeypatch.setattr(tensor_mod, "COLS_BUDGET", 1)
         x = Tensor(x0)
         h = x * 1.0
         kernel = Tensor(k0)
@@ -586,12 +586,10 @@ class TestOneOutputChannelBackward:
         w_out, pl, pr = tensor_mod._same_pads(ww, 3, stride)
         padded = np.pad(x0, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
         w2 = k0.reshape(1, c * 9)
-        m = tensor_mod._chunk(n, w2, 3, h_out * w_out, padded[0, 0].size)
-        assert m == (1 if chunked else n)
         g3 = g.reshape(n, 1, h_out * w_out)
-        _, dW = tensor_mod._lower(padded, w2, 3, stride, h_out, w_out, m)
+        _, dW = tensor_mod._lower(padded, w2, 3, stride, h_out, w_out)
         dpad = np.zeros(padded.shape, np.float32)
-        tensor_mod._adjoint_add(dpad, w2, g3, 3, stride, h_out, w_out, m)
+        tensor_mod._adjoint_add(dpad, w2, g3, 3, stride, h_out, w_out)
         assert h.grad.tobytes() == dpad[:, :, pt:pt + hh, pl:pl + ww].tobytes()
         assert kernel.grad.tobytes() == dW(g3).astype(np.float32).reshape(k0.shape).tobytes()
 
@@ -677,8 +675,8 @@ class TestConvTranspose:
     def test_is_adjoint_of_strided_conv(self, monkeypatch):
         # Both ops run the same adjoint on the same operands, so the bits
         # match; with one conv output channel it runs on the padded grid, and
-        # the shifted gradient is built once for conv2d's weight gradient and
-        # its adjoint, and once for conv2d_transpose's adjoint.
+        # each sample's shifted gradient is built once for conv2d's weight
+        # gradient and its adjoint, and once for conv2d_transpose's adjoint.
         taps = []
         shift_taps = tensor_mod._shift_taps
 
@@ -697,7 +695,7 @@ class TestConvTranspose:
                 (out * Tensor(g)).sum().backward()
                 pulled_back = conv2d_transpose(Tensor(g), Tensor(w), zero_bias(3), stride=stride)
                 assert pulled_back.data.tobytes() == x.grad.tobytes(), (cout, stride, k)
-                assert len(taps) == (0 if cout > 1 else 2) and len(set(taps)) <= 1
+                assert len(taps) == (0 if cout > 1 else 2 * len(g)) and len(set(taps)) <= 1
                 taps.clear()
 
     def test_grads_match_fd(self):
@@ -723,8 +721,8 @@ class TestConvTranspose:
 
 class TestConvTransposeColumnBudget:
     """conv2d_transpose runs its forward on the adjoint and its backward on
-    the lowering, so it holds at most COLS_BUDGET of columns too; chunking
-    must give the same bits."""
+    the lowering, each over the whole batch at once; the batch must give the
+    bits of its samples run in slices."""
 
     @staticmethod
     def run(x0, k0, b0, g0, stride):
@@ -736,7 +734,7 @@ class TestConvTransposeColumnBudget:
     @pytest.mark.parametrize("cin", [3, 1])
     @pytest.mark.parametrize("chunk", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_chunking_changes_no_bits(self, monkeypatch, stride, chunk, cin):
+    def test_chunking_changes_no_bits(self, stride, chunk, cin):
         rng = np.random.default_rng(41)
         x0 = rng.standard_normal((3, cin, 5, 6)).astype(np.float32)
         k0 = rng.standard_normal((cin, 4, 3, 3)).astype(np.float32)
@@ -744,30 +742,14 @@ class TestConvTransposeColumnBudget:
         g0 = rng.standard_normal((3, 4, 5 * stride, 6 * stride)).astype(np.float32)
         g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
         whole = self.run(x0, k0, b0, g0, stride)
-
-        chunks = []
-        for name in ("_lower", "_adjoint_add"):
-            def spy(*args, fn=getattr(tensor_mod, name), name=name, **kwargs):
-                chunks.append((name, args[-1]))
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(tensor_mod, name, spy)
-        if cin == 1:  # k*k + Cout rows of the padded output grid
-            _, pt, pb = tensor_mod._same_pads(5 * stride, 3, stride)
-            _, pl, pr = tensor_mod._same_pads(6 * stride, 3, stride)
-            per_sample = 4 * (3 * 3 + 4) * (5 * stride + pt + pb) * (6 * stride + pl + pr)
-        else:  # float32 columns: Cout*k*k rows, H*W input pixels
-            per_sample = 4 * 4 * 3 * 3 * 5 * 6
-        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", chunk * per_sample)
-        chunked = self.run(x0, k0, b0, g0, stride)
-        assert chunks == [("_adjoint_add", chunk), ("_lower", chunk)]
-        for name, arr in whole.items():
-            assert chunked[name].tobytes() == arr.tobytes(), name
+        sliced = run_in_slices(self.run, x0, k0, b0, g0, stride, chunk)
+        for name, arr in sliced.items():
+            assert whole[name].tobytes() == arr.tobytes(), name
 
     def test_backward_builds_each_chunk_once(self, monkeypatch):
         # Decoder block 5 at 224 px, Q=3: 16*3 channels at 112 px up to 8 at
-        # 224 px. A batch of 8 lowers in chunks of 4 under the default budget;
-        # the weight gradient takes its products in the same chunk loop as
-        # the input gradient, so each chunk's columns are built once.
+        # 224 px. The backward lowers the whole batch of 8 in one go, and the
+        # weight gradient reuses those columns instead of building its own.
         rng = np.random.default_rng(43)
         x = Tensor(rng.standard_normal((8, 48, 112, 112)).astype(np.float32))
         kernel = Tensor(rng.uniform(-0.1, 0.1, (48, 8, 3, 3)).astype(np.float32))
@@ -781,18 +763,14 @@ class TestConvTransposeColumnBudget:
 
         monkeypatch.setattr(tensor_mod, "_im2col", spy)
         y._backward_fn(np.ones(y.shape, dtype=np.float32))
-        assert builds == [4, 4]
+        assert builds == [8]
         assert x.grad.any() and kernel.grad.any()
 
-    @pytest.mark.parametrize("chunked", [True, False])
-    def test_peak_stays_below_the_whole_column_buffer(self, monkeypatch, chunked):
+    def test_peak_holds_the_whole_column_buffer(self):
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((4, 2, 16, 16)).astype(np.float32))
         kernel = Tensor(rng.standard_normal((2, 8, 3, 3)).astype(np.float32))
         cols_bytes = 4 * 8 * 3 * 3 * 16 * 16 * 4
-        # One sample's columns per chunk, or a budget above the whole buffer.
-        budget = cols_bytes // 4 if chunked else 2 * cols_bytes
-        monkeypatch.setattr(tensor_mod, "COLS_BUDGET", budget)
         g = np.ones((4, 8, 16, 16), dtype=np.float32)
         peaks = []
         for step in ("forward", "backward"):
@@ -805,10 +783,7 @@ class TestConvTransposeColumnBudget:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        if chunked:
-            assert max(peaks) < cols_bytes
-        else:  # negative control: the whole batch is lowered at once
-            assert min(peaks) >= cols_bytes
+        assert min(peaks) >= cols_bytes  # the whole batch is lowered at once
         assert x.grad.any() and kernel.grad.any()
 
 
