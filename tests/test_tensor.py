@@ -1,14 +1,19 @@
 """Engine tests: autodiff correctness against analytic and FD oracles."""
 
+import contextlib
 import ctypes
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import types
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -698,6 +703,28 @@ class TestConvTranspose:
                 assert len(taps) == (0 if cout > 1 else 2 * len(g)) and len(set(taps)) <= 1
                 taps.clear()
 
+    @pytest.mark.parametrize("cin", [3, 1])
+    def test_input_gradient_is_taken_without_a_copy(self, monkeypatch, cin):
+        # The lowering's output is a fresh array nothing else holds, so it
+        # becomes the input's first gradient as it is. h = x * 1 takes it
+        # unmixed with a leaf's zeros.
+        owned_flags = {}
+        accumulate = tensor_mod._accumulate
+
+        def spy(node, grad, owned=False):
+            owned_flags[id(node)] = owned
+            accumulate(node, grad, owned)
+
+        monkeypatch.setattr(tensor_mod, "_accumulate", spy)
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((2, cin, 5, 6)).astype(np.float32))
+        h = x * 1.0
+        kernel = Tensor(rng.standard_normal((cin, 4, 3, 3)).astype(np.float32))
+        y = conv2d_transpose(h, kernel, zero_bias(4), stride=2)
+        y._backward_fn(np.ones(y.shape, dtype=np.float32))
+        assert owned_flags[id(h)] is True
+        assert h.grad.any()
+
     def test_grads_match_fd(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.uniform(-1, 1, (1, 2, 4, 4)).astype(np.float32))
@@ -748,22 +775,29 @@ class TestConvTransposeColumnBudget:
 
     def test_backward_builds_each_chunk_once(self, monkeypatch):
         # Decoder block 5 at 224 px, Q=3: 16*3 channels at 112 px up to 8 at
-        # 224 px. The backward lowers the whole batch of 8 in one go, and the
-        # weight gradient reuses those columns instead of building its own.
+        # 224 px. The backward lowers the batch of 8 once, in three sample
+        # ranges, and the weight gradient reuses those columns instead of
+        # building its own: the ranges cover samples 0-7 exactly once.
+        monkeypatch.setattr(tensor_mod, "_width", 3)
         rng = np.random.default_rng(43)
         x = Tensor(rng.standard_normal((8, 48, 112, 112)).astype(np.float32))
         kernel = Tensor(rng.uniform(-0.1, 0.1, (48, 8, 3, 3)).astype(np.float32))
         y = conv2d_transpose(x, kernel, zero_bias(8), stride=2)
-        builds = []
+        ranges = []
         im2col = tensor_mod._im2col
 
         def spy(padded, *args):
-            builds.append(padded.shape[0])
+            whole = padded
+            while whole.base is not None:
+                whole = whole.base
+            start = (padded.ctypes.data - whole.ctypes.data) // padded.strides[0]
+            ranges.append(range(start, start + len(padded)))
             return im2col(padded, *args)
 
         monkeypatch.setattr(tensor_mod, "_im2col", spy)
         y._backward_fn(np.ones(y.shape, dtype=np.float32))
-        assert builds == [8]
+        assert len(ranges) == 3
+        assert sorted(i for r in ranges for i in r) == list(range(8))
         assert x.grad.any() and kernel.grad.any()
 
     def test_peak_holds_the_whole_column_buffer(self):
@@ -785,6 +819,137 @@ class TestConvTransposeColumnBudget:
                 tracemalloc.stop()
         assert min(peaks) >= cols_bytes  # the whole batch is lowered at once
         assert x.grad.any() and kernel.grad.any()
+
+
+@contextlib.contextmanager
+def pool_width(monkeypatch, width):
+    """Convolutions split each batch, however small, into at most ``width``
+    sample ranges, on a pool of width - 1 threads, with the interpreter
+    switching threads often."""
+    pool = ThreadPoolExecutor(max_workers=max(width - 1, 1))
+    monkeypatch.setattr(tensor_mod, "_width", width)
+    monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 0)
+    monkeypatch.setattr(tensor_mod, "_pool", pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+
+
+class TestSampleRanges:
+    """Each convolution splits its batch into contiguous sample ranges, one
+    per usable CPU, run side by side; a sample's arithmetic is that of a
+    batch of its own, so no bit depends on the number of ranges."""
+
+    @staticmethod
+    def run(op, x0, k0, b0, g0, stride):
+        x, kernel, bias = Tensor(x0), Tensor(k0), Tensor(b0)
+        y = op(x, kernel, bias, stride=stride)
+        (y * Tensor(g0[:, :, :y.shape[2], :y.shape[3]])).sum().backward()
+        return {"y": y.data, "x": x.grad, "kernel": kernel.grad, "bias": bias.grad}
+
+    # (op, cin, cout): the column path, and the one-row path (one output
+    # channel for conv2d, one input channel for conv2d_transpose).
+    CASES = [(conv2d, 4, 3), (conv2d, 4, 1), (conv2d_transpose, 3, 4), (conv2d_transpose, 1, 4)]
+
+    @pytest.mark.parametrize("batch", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
+    @pytest.mark.parametrize("op,cin,cout", CASES,
+                             ids=["conv2d-cols", "conv2d-one-row", "transpose-cols", "transpose-one-row"])
+    def test_bits_do_not_depend_on_the_pool_width(self, monkeypatch, op, cin, cout, stride, batch):
+        rng = np.random.default_rng([44, stride, batch, cin, cout])
+        x0 = rng.standard_normal((batch, cin, 7, 6)).astype(np.float32)
+        kshape = (cout, cin, 3, 3) if op is conv2d else (cin, cout, 3, 3)
+        k0 = rng.standard_normal(kshape).astype(np.float32)
+        b0 = rng.standard_normal(cout).astype(np.float32)
+        up = 1 if op is conv2d else stride
+        g0 = rng.standard_normal((batch, cout, 7 * up, 6 * up)).astype(np.float32)
+        g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
+        if batch > 2:
+            # As in the batch-order test: sample 2 cancels sample 0, so a
+            # weight gradient added up range by range rounds otherwise.
+            x0[0] *= np.float32(1e12)
+            x0[2], g0[2] = -x0[0], g0[0]
+        results = []
+        for width in (1, 2, 3):
+            with pool_width(monkeypatch, width):
+                results.append(self.run(op, x0, k0, b0, g0, stride))
+        for name in results[0]:
+            assert results[0][name].any(), name
+            for width, result in zip((2, 3), results[1:]):
+                assert result[name].tobytes() == results[0][name].tobytes(), (name, width)
+
+    def test_ranges_cover_the_batch_once_and_the_caller_runs_the_first(self, monkeypatch):
+        calls = []
+
+        def record(a, b):
+            calls.append((a, b, threading.current_thread() is threading.main_thread()))
+
+        with pool_width(monkeypatch, 3):
+            for n in (1, 2, 5):
+                tensor_mod._split_samples(n, 0, record)
+                spans = sorted(calls)
+                assert [i for a, b, _ in spans for i in range(a, b)] == list(range(n))
+                assert len(spans) == min(3, n)
+                assert [on_caller for a, _, on_caller in spans] == [a == 0 for a, _, _ in spans]
+                calls.clear()
+            # Samples below the work floor run inline as one range.
+            monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 100)
+            tensor_mod._split_samples(5, 99, record)
+            assert calls == [(0, 5, True)]
+            calls.clear()
+            tensor_mod._split_samples(5, 100, record)
+            assert sorted(calls) == [(0, 1, True), (1, 3, False), (3, 5, False)]
+
+    def test_a_failing_range_raises_after_every_range_is_done(self, monkeypatch):
+        done = []
+
+        def work(a, b):
+            if a == 0:
+                raise MemoryError("range 0")
+            time.sleep(0.05)
+            done.append(a)
+
+        with pool_width(monkeypatch, 3):
+            with pytest.raises(MemoryError, match="range 0"):
+                tensor_mod._split_samples(6, 0, work)
+            assert sorted(done) == [2, 4]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_a_pool_that_runs(self, monkeypatch):
+        # The parent's pool has a worker thread when it forks; the child has
+        # none, so without a fresh pool its conv waits forever.
+        monkeypatch.setattr(tensor_mod, "_width", 2)
+        monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 0)
+        rng = np.random.default_rng(45)
+        x0 = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+        k0 = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+
+        def conv():
+            return conv2d(Tensor(x0), Tensor(k0), zero_bias(2)).data.tobytes()
+
+        expected = conv()  # starts the pool's thread
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if conv() == expected else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish a batch-4 conv in 30 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestPowerExpand:
@@ -1121,7 +1286,8 @@ class TestMallocPolicy:
         libc, calls = fake_libc()
         tensor_mod._keep_freed_memory(libc)
         assert calls == [(tensor_mod._M_MMAP_THRESHOLD, 32 << 20),
-                         (tensor_mod._M_TRIM_THRESHOLD, 1 << 30)]
+                         (tensor_mod._M_TRIM_THRESHOLD, 1 << 30),
+                         (tensor_mod._M_ARENA_MAX, 1)]
 
     def test_other_c_libraries_are_left_alone(self):
         libc, calls = fake_libc(glibc=False)
