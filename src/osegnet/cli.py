@@ -228,6 +228,9 @@ def cmd_train(args) -> int:
                     return 1
                 losses.append(value)
                 epoch_counts += pixel_confusion(out.data, y.data, cfg.threshold)
+                # Drop this step's graph before the next batch is built, so one
+                # graph at a time is alive.
+                del x, y, out, loss
             f1 = metrics_from_confusion(epoch_counts).f1
             elapsed_ms = int((time.monotonic() - started) * 1000)
             log.write(f"{epoch},{np.mean(losses):.6f},{f1:.6f},{elapsed_ms}\n")
@@ -327,7 +330,8 @@ def cmd_predict(args) -> int:
         raise ShapeError(
             f"{args.image} is {image.shape[1]}x{image.shape[0]} but the model wants "
             f"{cfg.input_size}x{cfg.input_size}; resize the image (or set input_size) first")
-    x = Tensor(to_unit(image)[None, None])
+    with no_graph():  # the input is not trained: no gradient buffer
+        x = Tensor(to_unit(image)[None, None])
     probs = model.forward(x, training=False).data[0, 0]
 
     stem = Path(args.image).stem

@@ -9,31 +9,36 @@ loops run as BLAS matmuls with a fixed summation order. Both are
 same-padded and always add a per-channel bias, the one form the network
 uses. Reductions accumulate in float64 and round the result back to float32.
 
-Both convolutions run on one lowering and its adjoint. ``_lower`` computes
-``w2 @ im2col(padded)`` and its weight gradient; ``_adjoint_add`` adds
-``col2im(w2.T @ g)`` into a padded buffer. conv2d is the lowering forward
-and the adjoint backward; conv2d_transpose is the adjoint forward and the
-lowering backward. Each builds the columns of its whole batch at once, and
-the lowering keeps them, not the padded input, for the weight gradient,
-which adds the per-sample float32 products in batch order in float64. Every
-sample goes through the same BLAS call as it would in a batch of its own,
-so a sample's output and input gradient do not depend on the batch it is in.
+Both convolutions run on one lowering and its adjoint, and the two kernels
+own the same-padding geometry: ``_lower`` pads its input and computes
+``w2 @ im2col(padded)``, and its backward gives the weight gradient and,
+when asked, the cropped input gradient; ``_adjoint`` adds
+``col2im(w2.T @ g)`` into a zeroed padded buffer and returns the crop.
+conv2d is the lowering, whose backward runs the adjoint for the input
+gradient; conv2d_transpose is the adjoint forward and the lowering
+backward. The two ops only check their operands (one check for both), add
+the bias and wire the graph. Each kernel builds the columns of its whole
+batch at once, and the lowering keeps them, not the padded input, for the
+weight gradient, which adds the per-sample float32 products in batch order
+in float64. Every sample goes through the same BLAS call as it would in a
+batch of its own, so a sample's output and input gradient do not depend on
+the batch it is in.
 
 That is also why a batch may be split across CPUs without moving a bit. The
 lowering (im2col and its GEMM, or the one-row loop), the one-row weight and
 input gradient loop, and the adjoint (its GEMM and col2im) each run over
 contiguous sample ranges (``_split_samples``), one range per CPU the process
 may run on and never more ranges than samples: the calling thread takes the
-first, a thread pool made at import the others. A batch of one, or of
-samples whose GEMMs take fewer than ``_SPLIT_MIN_MACS`` multiply-adds each,
-runs inline. Each range writes only its own samples' rows of buffers allocated
+first, a thread pool made at the first split the others. A batch of one,
+or of samples whose GEMMs take fewer than ``_SPLIT_MIN_MACS`` multiply-adds
+each, runs inline. Each range writes only its own samples' rows of buffers allocated
 for the whole batch. The column path's weight gradient stays serial, adding
 its per-sample products in batch order, because running them side by side
 would need a product buffer per sample or per thread; the one-row path keeps
 its small per-sample products and adds them afterwards in batch order.
 glibc gets one malloc arena (below), so the pool's threads reuse the main
-heap, and a forked child gets a fresh pool, since the parent's threads do
-not exist there.
+heap, and a forked child makes a fresh pool at its first split, since the
+parent's threads do not exist there.
 
 A lowering whose ``w2`` has one row (conv2d with one output channel, as the
 final layer's, or conv2d_transpose with one input channel) builds no
@@ -42,8 +47,10 @@ at a time, so each product is a GEMM whose inner dimension is C or k*k, not
 C*k*k: the forward sums the tap rows of ``W_taps.T @ padded[n]`` at their
 strided offsets in (ky, kx) order, and the weight gradient and the adjoint
 multiply by the shifted gradient ``G[n]`` (``_shift_taps``), whose row per
-tap holds the gradient at that tap's offset; conv2d's backward builds each
-G once for both and writes the adjoint over its padded buffer. Each of
+tap holds the gradient at that tap's offset; the lowering's backward builds
+each G once for both and writes the adjoint over an empty padded buffer,
+whose crop ``+ 0.0`` turns any -0.0 into the +0.0 that adding into zeros
+gives. Each of
 these loops holds one sample's k*k grid rows (and, in the adjoint, C rows
 of ``W_taps @ G[n]``) at a time. The sums run in another order than the
 column form's, so results differ from it by float32 rounding.
@@ -75,7 +82,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -115,22 +121,21 @@ if os.name == "posix":
     _keep_freed_memory(ctypes.CDLL(None))
 
 # Sample ranges a convolution splits its batch into at most: the CPUs this
-# process may run on. The pool runs all but the first range, so it starts no
-# thread until a batch is split.
+# process may run on. The pool runs all but the first range; it is made at
+# the first split, so a process that never splits imports no thread pool.
 _width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+_pool = None
 
 
-def _new_pool() -> None:
-    """Make the thread pool that runs every sample range but the first."""
+def _forget_pool() -> None:
     global _pool
-    _pool = ThreadPoolExecutor(max_workers=max(_width - 1, 1), thread_name_prefix="osegnet-conv")
+    _pool = None
 
 
-_new_pool()
 if hasattr(os, "register_at_fork"):
     # A forked child holds the parent's pool but none of its threads, so work
-    # submitted to it would never run.
-    os.register_at_fork(after_in_child=_new_pool)
+    # submitted to it would never run: the child's first split makes its own.
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 # Multiply-adds a sample's GEMMs must take for its batch to be split: below
@@ -150,7 +155,17 @@ def _split_samples(n: int, macs: int, fn) -> None:
     returns once all are done, raising the first error a range raised. A
     batch of one runs inline.
     """
+    global _pool
     width = min(_width, n) if macs >= _SPLIT_MIN_MACS else 1
+    if width == 1:
+        fn(0, n)
+        return
+    # Imported here, not with the engine: it also imports logging, which a
+    # process that never splits a batch need not load.
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=max(_width - 1, 1), thread_name_prefix="osegnet-conv")
     bounds = [i * n // width for i in range(width + 1)]
     futures = [_pool.submit(fn, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
     try:
@@ -381,13 +396,8 @@ class Tensor:
 
         return Tensor(np.asarray(value, dtype=np.float32), (self,), "sum", bwd)
 
-    def mean(self, axis=None) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis) * (1.0 / count)
+    def mean(self) -> "Tensor":
+        return self.sum() * (1.0 / self.data.size)
 
     # -- activations ---------------------------------------------------------
 
@@ -469,24 +479,31 @@ def _shift_taps(shifted: np.ndarray, g: np.ndarray, k: int, stride: int, h_out: 
     return shifted
 
 
-def _lower(padded, w2, k, stride, h_out, w_out):
-    """y = w2 @ im2col(padded) and a function dW(g3) for its weight gradient.
+def _lower(x, w2, k, stride):
+    """y = w2 @ im2col(x, same-padded) and back(g, want_dx) for its gradients.
 
-    padded: (N, C, Hp, Wp); w2: (Cout, C*k*k). Returns y as (N, Cout,
-    h_out*w_out) and dW, which gives the float64 (Cout, C*k*k) sum over
-    samples of g3[n] @ cols[n].T, adding the float32 products in batch order
-    onto float64 zeros. The whole batch's columns are built once, a sample
-    range per thread (_split_samples), and dW keeps them, not padded; it
-    forms its products one at a time on the calling thread.
+    x: (N, C, H, W); w2: (Cout, C*k*k). Returns y as (N, Cout, h_out, w_out)
+    and back, which takes g shaped like y and returns the float64 (Cout,
+    C*k*k) weight gradient, the sum over samples of g3[n] @ cols[n].T adding
+    the float32 products in batch order onto float64 zeros, and, if
+    want_dx, the input gradient (N, C, H, W) as a new array (else None). The
+    whole batch's columns are built once, a sample range per thread
+    (_split_samples), and back keeps them, not the padded input; it forms
+    the weight gradient's products one at a time on the calling thread and
+    takes the input gradient from _adjoint.
 
     With one row in w2 no columns are built and each sample goes through its
     own BLAS calls: Z = W_taps.T @ padded[n] (k*k x Hp*Wp) gives y as the
-    sum of Z's tap rows at their offsets, and dW = padded[n] @ G[n].T with G
-    from _shift_taps. A one-row dW(g3, dpad) also writes the adjoint W_taps
-    @ G[n] over the whole of dpad[n] (N, C, Hp, Wp) from the same G. Both
-    loops run per sample range, and dW adds its products after them.
+    sum of Z's tap rows at their offsets, and back forms padded[n] @ G[n].T
+    for the weight gradient, with G from _shift_taps, and from the same G
+    writes the input gradient's W_taps @ G[n] over the whole of an empty
+    padded buffer. Both loops run per sample range, and the weight gradient
+    adds its products after them.
     """
-    n, c = padded.shape[:2]
+    n, c, h, w = x.shape
+    h_out, pt, pb = _same_pads(h, k, stride)
+    w_out, pl, pr = _same_pads(w, k, stride)
+    padded = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
     cout, rows = w2.shape
     hw = h_out * w_out
     y = np.empty((n, cout, hw), dtype=np.float32)
@@ -500,56 +517,66 @@ def _lower(padded, w2, k, stride, h_out, w_out):
         _split_samples(n, w2.size * hw, lower)
         cols = cols.reshape(n, rows, hw)
 
-        def dW(g3, dpad=None):  # dpad is for the one-row form only
+        def back(g, want_dx):
+            g3 = g.reshape(n, cout, hw)
             dw = np.zeros((cout, rows))
             part = np.empty((cout, rows), dtype=np.float32)
             for a, b in zip(g3, cols):
                 dw += np.matmul(a, b.T, out=part)
-            return dw
+            # + 0.0 copies the crop out of the adjoint's padded buffer.
+            return dw, _adjoint(g3, w2, k, stride, h, w) + 0.0 if want_dx else None
+    else:
+        grid = padded.shape[2] * padded.shape[3]
+        w_taps = w2.reshape(c, k * k)
 
-        return y, dW
-
-    grid = padded.shape[2] * padded.shape[3]
-    w_taps = w2.reshape(c, k * k)
-
-    def lower_grid(a, b):
-        z = np.empty((k * k, *padded.shape[2:]), dtype=np.float32)
-        for i in range(a, b):
-            np.matmul(w_taps.T, padded[i].reshape(c, grid), out=z.reshape(k * k, grid))
-            _sum_taps(y[i].reshape(h_out, w_out), z, k, stride, h_out, w_out)
-
-    _split_samples(n, w2.size * grid, lower_grid)
-
-    def dW(g3, dpad=None):
-        parts = np.empty((n, c, k * k), dtype=np.float32)
-
-        def grads(a, b):
-            shifted = np.empty((k * k, *padded.shape[2:]), dtype=np.float32)
+        def lower_grid(a, b):
+            z = np.empty((k * k, *padded.shape[2:]), dtype=np.float32)
             for i in range(a, b):
-                g = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, grid)
-                if dpad is not None:
-                    np.matmul(w_taps, g, out=dpad[i].reshape(c, grid))
-                np.matmul(padded[i].reshape(c, grid), g.T, out=parts[i])
+                np.matmul(w_taps.T, padded[i].reshape(c, grid), out=z.reshape(k * k, grid))
+                _sum_taps(y[i].reshape(h_out, w_out), z, k, stride, h_out, w_out)
 
-        _split_samples(n, w2.size * grid, grads)
-        dw = np.zeros((c, k * k))
-        for part in parts:
-            dw += part
-        return dw.reshape(1, rows)
+        _split_samples(n, w2.size * grid, lower_grid)
 
-    return y, dW
+        def back(g, want_dx):
+            g3 = g.reshape(n, 1, hw)
+            dpad = np.empty(padded.shape, dtype=np.float32) if want_dx else None
+            parts = np.empty((n, c, k * k), dtype=np.float32)
+
+            def grads(a, b):
+                shifted = np.empty((k * k, *padded.shape[2:]), dtype=np.float32)
+                for i in range(a, b):
+                    gi = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, grid)
+                    if want_dx:
+                        np.matmul(w_taps, gi, out=dpad[i].reshape(c, grid))
+                    np.matmul(padded[i].reshape(c, grid), gi.T, out=parts[i])
+
+            _split_samples(n, w2.size * grid, grads)
+            dw = np.zeros((c, k * k))
+            for part in parts:
+                dw += part
+            # + 0.0 copies the crop and turns a -0.0 written over dpad into
+            # +0.0, as adding into zeros does.
+            return dw.reshape(1, rows), dpad[:, :, pt:pt + h, pl:pl + w] + 0.0 if want_dx else None
+
+    return y.reshape(n, cout, h_out, w_out), back
 
 
-def _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out):
-    """dpad += col2im(w2.T @ g3), the whole batch's columns at once.
+def _adjoint(g3, w2, k, stride, h, w):
+    """col2im(w2.T @ g3) added into zeros and cropped: the adjoint of _lower.
 
-    dpad: (N, C, Hp, Wp); w2: (Cout, C*k*k); g3: (N, Cout, h_out*w_out).
-    Each sample range (_split_samples) forms its columns' GEMM and adds them
-    into its own samples of dpad. With one row in w2 no columns are built:
-    dpad[n] += W_taps (C x k*k) @ G[n], one sample at a time, with G from
-    _shift_taps.
+    g3: (N, Cout, h_out*w_out); w2: (Cout, C*k*k); (h, w): the extent of
+    the lowering's input, whose same padding gives (h_out, w_out). Returns
+    the (N, C, h, w) crop, a view of the zeroed padded buffer the whole
+    batch's columns were added into. Each sample range (_split_samples)
+    forms its columns' GEMM and adds them into its own samples. With one
+    row in w2 no columns are built: dpad[n] += W_taps (C x k*k) @ G[n], one
+    sample at a time, with G from _shift_taps.
     """
-    n, c = dpad.shape[:2]
+    n = len(g3)
+    c = w2.shape[1] // (k * k)
+    h_out, pt, pb = _same_pads(h, k, stride)
+    w_out, pl, pr = _same_pads(w, k, stride)
+    dpad = np.zeros((n, c, h + pt + pb, w + pl + pr), dtype=np.float32)
     if w2.shape[0] > 1:
         cols = np.empty((n, c * k * k, h_out * w_out), dtype=np.float32)
         macs = w2.size * h_out * w_out
@@ -571,6 +598,29 @@ def _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out):
                 dpad[i] += prod
 
     _split_samples(n, macs, add)
+    return dpad[:, :, pt:pt + h, pl:pl + w]
+
+
+def _conv_operands(op: str, x: Tensor, kernels: Tensor, bias: Tensor, stride: int):
+    """Check a convolution's operands; return k and the kernels as the lowering's w2.
+
+    conv2d's kernels are (Cout, Cin, k, k), conv2d_transpose's (Cin, Cout,
+    k, k); either way w2 is their (first axis, rest) matrix.
+    """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if x.data.ndim != 4 or kernels.data.ndim != 4:
+        raise ShapeError(f"{op} expects 4-D input and kernels, got {x.shape} and {kernels.shape}")
+    first, second, kh, kw = kernels.shape
+    cin_k, cout = (second, first) if op == "conv2d" else (first, second)
+    if kh != kw:
+        raise ShapeError(f"{op} supports square kernels only, got {kh}x{kw}")
+    if x.shape[1] != cin_k:
+        raise ShapeError(f"{op}: input has {x.shape[1]} channels but kernels expect {cin_k} "
+                         f"(input {x.shape}, kernels {kernels.shape})")
+    if bias.shape != (cout,):
+        raise ShapeError(f"{op}: bias shape {bias.shape} does not match {cout} output channels")
+    return kh, kernels.data.reshape(first, second * kh * kw)
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -579,48 +629,19 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     x: (N, Cin, H, W); kernels: (Cout, Cin, k, k); bias: (Cout,). The output
     keeps H/stride (ceil), with the extra pad on the bottom/right.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if x.data.ndim != 4 or kernels.data.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input and kernels, got {x.shape} and {kernels.shape}")
-    n, cin, h, w = x.shape
-    cout, cin_k, kh, kw = kernels.shape
-    if kh != kw:
-        raise ShapeError(f"conv2d supports square kernels only, got {kh}x{kw}")
-    if cin != cin_k:
-        raise ShapeError(f"conv2d: input has {cin} channels but kernels expect {cin_k} "
-                         f"(input {x.shape}, kernels {kernels.shape})")
-    if bias.shape != (cout,):
-        raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
-    k = kh
-    h_out, pt, pb = _same_pads(h, k, stride)
-    w_out, pl, pr = _same_pads(w, k, stride)
-
-    padded = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    pad_shape = padded.shape  # not padded: the lowering keeps it only if dW needs it
-    w2 = kernels.data.reshape(cout, cin * k * k)
-    y, dW = _lower(padded, w2, k, stride, h_out, w_out)
-    y = y.reshape(n, cout, h_out, w_out) + bias.data.reshape(1, cout, 1, 1)
+    k, w2 = _conv_operands("conv2d", x, kernels, bias, stride)
+    y, back = _lower(x.data, w2, k, stride)
 
     def bwd(g):
-        g3 = g.reshape(n, cout, h_out * w_out)
         # A leaf made under no_graph() (a batch input) has no gradient buffer:
         # nothing reads its gradient, so none is computed.
-        wants_dx = bool(x._parents) or x.grad is not None
-        # One output channel: dW's shifted gradient also gives dx, written over dpad.
-        dpad = np.empty(pad_shape, dtype=np.float32) if wants_dx and cout == 1 else None
-        _accumulate(kernels, dW(g3, dpad).astype(np.float32).reshape(kernels.shape))
+        dw, dx = back(g, bool(x._parents) or x.grad is not None)
+        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
         _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
-        if not wants_dx:
-            return
-        if dpad is None:
-            dpad = np.zeros(pad_shape, dtype=np.float32)
-            _adjoint_add(dpad, w2, g3, k, stride, h_out, w_out)
-        # + 0.0 copies the slice and turns a -0.0 written over dpad into +0.0,
-        # as adding into zeros does.
-        _accumulate(x, dpad[:, :, pt:pt + h, pl:pl + w] + 0.0, owned=True)
+        if dx is not None:
+            _accumulate(x, dx, owned=True)
 
-    return Tensor(y, (x, kernels, bias), "conv2d", bwd)
+    return Tensor(y + bias.data.reshape(1, -1, 1, 1), (x, kernels, bias), "conv2d", bwd)
 
 
 def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -630,41 +651,19 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) 
     (N, Cout, stride*H, stride*W). Each input element scatters value * kernel
     into its output window; overlaps sum.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if x.data.ndim != 4 or kernels.data.ndim != 4:
-        raise ShapeError(f"conv2d_transpose expects 4-D input and kernels, got {x.shape} and {kernels.shape}")
+    k, w2 = _conv_operands("conv2d_transpose", x, kernels, bias, stride)
     n, cin, h, w = x.shape
-    cin_k, cout, kh, kw = kernels.shape
-    if kh != kw:
-        raise ShapeError(f"conv2d_transpose supports square kernels only, got {kh}x{kw}")
-    if cin != cin_k:
-        raise ShapeError(f"conv2d_transpose: input has {cin} channels but kernels expect {cin_k} "
-                         f"(input {x.shape}, kernels {kernels.shape})")
-    if bias.shape != (cout,):
-        raise ShapeError(f"conv2d_transpose: bias shape {bias.shape} does not match {cout} output channels")
-    k = kh
-    h_up, w_up = stride * h, stride * w
-    # Geometry of the forward conv this op is the adjoint of: (h_up -> h).
-    h_chk, pt, pb = _same_pads(h_up, k, stride)
-    w_chk, pl, pr = _same_pads(w_up, k, stride)
-    assert (h_chk, w_chk) == (h, w)
-
-    w2 = kernels.data.reshape(cin, cout * k * k)
-    x3 = x.data.reshape(n, cin, h * w)
-    buf = np.zeros((n, cout, h_up + pt + pb, w_up + pl + pr), dtype=np.float32)
-    _adjoint_add(buf, w2, x3, k, stride, h, w)
-    y = buf[:, :, pt:pt + h_up, pl:pl + w_up] + bias.data.reshape(1, cout, 1, 1)
+    y = _adjoint(x.data.reshape(n, cin, h * w), w2, k, stride, stride * h, stride * w)
 
     def bwd(g):
-        dx, dW = _lower(np.pad(g, ((0, 0), (0, 0), (pt, pb), (pl, pr))), w2, k, stride, h, w)
-        dw = dW(x3)
-        del dW  # frees the columns before the input gradient is accumulated
+        dx, back = _lower(g, w2, k, stride)
+        dw, _ = back(x.data, False)
+        del back  # frees the columns before the input gradient is accumulated
         _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
-        _accumulate(x, dx.reshape(n, cin, h, w), owned=True)
+        _accumulate(x, dx, owned=True)
         _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 
-    return Tensor(y, (x, kernels, bias), "conv2d_transpose", bwd)
+    return Tensor(y + bias.data.reshape(1, -1, 1, 1), (x, kernels, bias), "conv2d_transpose", bwd)
 
 
 def power_expand(x: Tensor, q_order: int) -> Tensor:

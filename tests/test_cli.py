@@ -1,6 +1,7 @@
 """CLI tests: argument plumbing, exit codes, artifacts of every subcommand."""
 
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from osegnet import cli
 from osegnet.cli import RunConfig, main, read_config_file, resolve_config
 from osegnet.data import load_pgm, save_pgm, synth_generate
-from osegnet.model import ModelConfig, build_model, load_checkpoint
+from osegnet.model import ModelConfig, OSegNetModel, build_model, load_checkpoint
 from osegnet.tensor import Tensor
 
 SMALL = ["--encoder-channels", "4,4,4,4,4", "--input-size", "32", "--q", "1"]
@@ -230,6 +231,29 @@ class TestTrainCommand:
         assert run_cli(*args, "--epochs", 1, "--batch-size", 5, "--out", tmp_path / "ok") == 0
         assert (tmp_path / "ok" / "checkpoint.ckpt").read_bytes() != initial
 
+    def test_each_step_graph_is_freed_before_the_next_batch(self, dataset, tmp_path, monkeypatch):
+        # One graph at a time: a step's output (and so its graph) is gone
+        # when the next batch is ingested. Tensor has no __weakref__ slot, so
+        # the weak references are to the outputs' arrays.
+        outputs, alive_at_ingest = [], []
+        forward, ingest = OSegNetModel.forward, cli._ingest_batch
+
+        def forward_spy(model, x, training=False):
+            out = forward(model, x, training=training)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        def ingest_spy(pairs):
+            alive_at_ingest.append([ref() is not None for ref in outputs])
+            return ingest(pairs)
+
+        monkeypatch.setattr(OSegNetModel, "forward", forward_spy)
+        monkeypatch.setattr(cli, "_ingest_batch", ingest_spy)
+        code = run_cli("train", *SMALL, "--index", dataset, "--epochs", 2, "--no-augment",
+                       "--out", tmp_path / "run")
+        assert code == 0 and len(outputs) >= 4
+        assert alive_at_ingest == [[False] * step for step in range(len(outputs))]
+
     def test_encoder_channels_need_five_widths(self, tmp_path, capsys):
         # Rejected as a usage error before the (missing) index is read.
         for widths in ("4,4,4", "4,4,4,4,4,4"):
@@ -395,6 +419,20 @@ class TestPredictCommand:
             run_cli("predict", *SMALL, "--ckpt", trained, "--image", image, "--out", out)
             blobs.append((out / "s00004_mask.pgm").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_input_gets_no_gradient_buffer(self, dataset, trained, tmp_path, monkeypatch):
+        inputs, forward = [], OSegNetModel.forward
+
+        def spy(model, x, training=False):
+            inputs.append(x)
+            return forward(model, x, training=training)
+
+        monkeypatch.setattr(OSegNetModel, "forward", spy)
+        image = dataset.parent / "images" / "s00004.pgm"
+        code = run_cli("predict", *SMALL, "--ckpt", trained, "--image", image,
+                       "--out", tmp_path / "pr")
+        assert code == 0 and len(inputs) == 1
+        assert inputs[0].shape == (1, 1, 32, 32) and inputs[0].grad is None
 
     def test_size_mismatch_suggests_resize(self, trained, tmp_path, capsys):
         big = tmp_path / "big.pgm"

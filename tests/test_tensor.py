@@ -39,6 +39,19 @@ def same_padded(stride):
     return f"{stride}-same"
 
 
+class NegativeZeroMatmul:
+    """numpy, except that matmul writes each zero of its result as -0.0."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def matmul(a, b, out=None):
+        out = np.matmul(a, b, out=out)
+        out[out == 0] = -0.0
+        return out
+
+
 class TestElementwise:
     def test_add_mul_examples(self):
         a = Tensor([2.0, 3.0])
@@ -203,7 +216,7 @@ class TestNoGraph:
         recording = Tensor(x0)
         want = grads(recording)
         adjoints = []
-        monkeypatch.setattr(tensor_mod, "_adjoint_add", lambda *args: adjoints.append(args))
+        monkeypatch.setattr(tensor_mod, "_adjoint", lambda *args: adjoints.append(args))
         with no_graph():
             batch = Tensor(x0)
         assert grads(batch) == want
@@ -566,12 +579,15 @@ class TestOneOutputChannelBackward:
         assert np.median(np.abs(ref["x"])) < 1e3  # the big taps cancelled off the edges
         assert_within_fp32_bound(new, x0, k0, b0, g0, 1, ("x",))
 
-    @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
-    def test_dx_keeps_the_bytes_of_the_adjoint_added_into_zeros(self, stride):
+    @staticmethod
+    def grads_and_references(stride):
+        """conv2d's input and weight gradients with one output channel, and
+        their references: the adjoint added into zeros and the lowering's own
+        weight gradient."""
         # The backward writes W_taps @ G straight over an empty dpad; the input
         # gradient must be that of adding the adjoint into zeros, which turns
-        # -0.0 into +0.0, and dW that of the lowering's own dW(g3). h = x * 1
-        # takes conv2d's dx as its first gradient, unmixed with a leaf's zeros.
+        # -0.0 into +0.0. h = x * 1 takes conv2d's dx as its first gradient,
+        # unmixed with a leaf's zeros.
         rng = np.random.default_rng(36)
         x0 = rng.standard_normal((3, 5, 11, 9)).astype(np.float32)
         k0 = rng.standard_normal((1, 5, 3, 3)).astype(np.float32)
@@ -587,16 +603,29 @@ class TestOneOutputChannelBackward:
         (y * Tensor(g)).sum().backward()
 
         n, c, hh, ww = x0.shape
-        h_out, pt, pb = tensor_mod._same_pads(hh, 3, stride)
-        w_out, pl, pr = tensor_mod._same_pads(ww, 3, stride)
-        padded = np.pad(x0, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
         w2 = k0.reshape(1, c * 9)
-        g3 = g.reshape(n, 1, h_out * w_out)
-        _, dW = tensor_mod._lower(padded, w2, 3, stride, h_out, w_out)
-        dpad = np.zeros(padded.shape, np.float32)
-        tensor_mod._adjoint_add(dpad, w2, g3, 3, stride, h_out, w_out)
-        assert h.grad.tobytes() == dpad[:, :, pt:pt + hh, pl:pl + ww].tobytes()
-        assert kernel.grad.tobytes() == dW(g3).astype(np.float32).reshape(k0.shape).tobytes()
+        _, back = tensor_mod._lower(x0, w2, 3, stride)
+        dw, _ = back(g, False)
+        want_dx = tensor_mod._adjoint(g.reshape(n, 1, -1), w2, 3, stride, hh, ww)
+        return h.grad, kernel.grad, want_dx, dw.astype(np.float32).reshape(k0.shape)
+
+    @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
+    def test_dx_keeps_the_bytes_of_the_adjoint_added_into_zeros(self, stride):
+        dx, dw, want_dx, want_dw = self.grads_and_references(stride)
+        assert dx.tobytes() == want_dx.tobytes()
+        assert dw.tobytes() == want_dw.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
+    def test_dx_turns_the_negative_zeros_of_a_matmul_positive(self, monkeypatch, stride):
+        # Negative control for the test above: OpenBLAS writes these zeros
+        # as +0.0, so there a plain copy of the padded buffer would pass for
+        # + 0.0. Here every zero that matmul writes is -0.0, and adding into
+        # zeros still gives +0.0.
+        monkeypatch.setattr(tensor_mod, "np", NegativeZeroMatmul())
+        dx, _, want_dx, _ = self.grads_and_references(stride)
+        zeros = want_dx == 0
+        assert zeros.any() and not np.signbit(want_dx[zeros]).any()
+        assert dx.tobytes() == want_dx.tobytes()
 
     def test_more_output_channels_keep_the_columns(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -917,6 +946,25 @@ class TestSampleRanges:
             with pytest.raises(MemoryError, match="range 0"):
                 tensor_mod._split_samples(6, 0, work)
             assert sorted(done) == [2, 4]
+
+    def test_the_first_split_imports_the_pool(self):
+        # In a fresh interpreter: importing the package brings in no thread
+        # pool module (it imports logging too); the first split does.
+        script = "\n".join([
+            "import sys",
+            "import osegnet",
+            "from osegnet import tensor",
+            "assert 'concurrent.futures' not in sys.modules and tensor._pool is None",
+            "tensor._width = 2",
+            "tensor._split_samples(2, tensor._SPLIT_MIN_MACS, lambda a, b: None)",
+            "assert 'concurrent.futures' in sys.modules and tensor._pool is not None",
+        ])
+        src = Path(tensor_mod.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_gets_a_pool_that_runs(self, monkeypatch):
