@@ -4,19 +4,24 @@ Moments are stored per parameter in registration order; updates are purely
 elementwise, so two optimizers fed identical gradient streams produce
 bit-identical trajectories.
 
-The update runs in place, ``BLOCK`` elements at a time, through two float32
-scratch vectors allocated once: a block's moments and temporaries stay in
-cache, and a step allocates no parameter-sized arrays. Each element sees the
-same float32 operations in the same order as the textbook expression
+The update runs in place, at most ``BLOCK`` elements at a time, through a
+pair of float32 scratch vectors: a block's moments and temporaries stay in
+cache, and a step allocates no parameter-sized arrays. The parameters, laid
+end to end, are cut into BLOCK-element blocks, and ranges of these blocks run
+side by side (``tensor._split``, above its bytes floor), each range through
+a scratch pair of its own that is kept for the next step. Each element sees
+the same float32 operations in the same order as the textbook expression
 ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the bits do not depend on
-the block size. The non-finite check before the update runs through the
-same scratch, a block at a time.
+the block size or the number of ranges. The non-finite check before the
+update runs through the same ranges and scratch, and no element is updated
+unless every gradient is finite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import tensor
 from .tensor import Tensor
 
 # Elements per pass of the update loop: 256 KiB per float32 block.
@@ -40,23 +45,37 @@ class Adam:
         self.params: list[Tensor] = [t for _, t in named_params]
         self.m = [np.zeros_like(t.data) for t in self.params]
         self.v = [np.zeros_like(t.data) for t in self.params]
-        width = min(BLOCK, max((t.size for t in self.params), default=1))
-        self._a = np.empty(width, dtype=np.float32)
-        self._b = np.empty(width, dtype=np.float32)
+        # Where each parameter starts in the parameters laid end to end, whose
+        # BLOCK-element blocks a step's ranges index.
+        self._starts = np.cumsum([0] + [t.size for t in self.params]).tolist()
+        self._scratch_size = min(BLOCK, max((t.size for t in self.params), default=1))
+        # Scratch pairs, one per range running at once, kept for the next step.
+        self._scratch = []
 
-    def _finite(self, g: np.ndarray) -> bool:
-        """True if every element of the flat g is finite.
+    def _pieces(self, first: int, last: int):
+        """(i, lo, hi) for each run of parameter i's elements, at most BLOCK
+        long, that blocks [first, last) of the parameters laid end to end cover."""
+        for i, start in enumerate(self._starts[:-1]):
+            lo = max(first * BLOCK - start, 0)
+            hi = min(last * BLOCK - start, self.params[i].size)
+            for s in range(lo, hi, BLOCK):
+                yield i, s, min(s + BLOCK, hi)
 
-        Checked a block at a time into the float32 scratch viewed as bools,
-        so the check allocates no gradient-sized mask.
-        """
-        mask = self._a.view(np.bool_)
-        for lo in range(0, g.size, BLOCK):
-            m = mask[:min(BLOCK, g.size - lo)]
-            np.isfinite(g[lo:lo + m.size], out=m)
-            if not m.all():
-                return False
-        return True
+    def _split(self, fn) -> None:
+        """Run fn(scratch, first, last) for ranges [first, last) of the blocks,
+        each range with a (2, _scratch_size) float32 scratch of its own."""
+        def run(first, last):
+            try:
+                scratch = self._scratch.pop()
+            except IndexError:
+                scratch = np.empty((2, self._scratch_size), dtype=np.float32)
+            try:
+                fn(scratch, first, last)
+            finally:
+                self._scratch.append(scratch)
+
+        total = self._starts[-1]
+        tensor._split(-(-total // BLOCK), 4 * total, tensor._SPLIT_MIN_BYTES, run)
 
     def step(self) -> None:
         """Apply one update from the gradients currently held by the parameters."""
@@ -64,22 +83,34 @@ class Adam:
             if t.grad is None:
                 raise FloatingPointError(
                     f"parameter {name} has no gradient yet: run backward() before step()")
-            if not self._finite(t.grad.reshape(-1)):
-                raise FloatingPointError(f"non-finite gradient for parameter {name}")
+        finite = np.ones(len(self.params), dtype=np.bool_)
+
+        def check(scratch, first, last):
+            # Into the scratch viewed as bools, so no gradient-sized mask is made.
+            mask = scratch[0].view(np.bool_)
+            for i, lo, hi in self._pieces(first, last):
+                m = np.isfinite(self.params[i].grad.reshape(-1)[lo:hi], out=mask[:hi - lo])
+                if not m.all():
+                    finite[i] = False
+
+        self._split(check)
+        if not finite.all():
+            name = self.names[finite.tolist().index(False)]
+            raise FloatingPointError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         t_ = self.step_count
         b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         c1, c2 = 1.0 - b1, 1.0 - b2
         bc1 = 1.0 - b1 ** t_
         bc2 = 1.0 - b2 ** t_
-        for t, m, v in zip(self.params, self.m, self.v):
-            # Parameter, gradient and moment arrays are C-contiguous, so
-            # these flat reshapes are views.
-            p, g, m, v = t.data.reshape(-1), t.grad.reshape(-1), m.reshape(-1), v.reshape(-1)
-            for lo in range(0, p.size, BLOCK):
-                hi = min(lo + BLOCK, p.size)
-                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-                a, b = self._a[:hi - lo], self._b[:hi - lo]
+
+        def update(scratch, first, last):
+            for i, lo, hi in self._pieces(first, last):
+                # Parameter, gradient and moment arrays are C-contiguous, so
+                # these flat reshapes are views.
+                t, m, v = self.params[i], self.m[i], self.v[i]
+                gb, mb, vb = t.grad.reshape(-1)[lo:hi], m.reshape(-1)[lo:hi], v.reshape(-1)[lo:hi]
+                a, b = scratch[0, :hi - lo], scratch[1, :hi - lo]
                 mb *= b1
                 np.multiply(gb, c1, out=a)
                 mb += a
@@ -93,4 +124,6 @@ class Adam:
                 np.sqrt(b, out=b)
                 b += eps
                 a /= b
-                p[lo:hi] -= a
+                t.data.reshape(-1)[lo:hi] -= a
+
+        self._split(update)

@@ -12,8 +12,8 @@ uses. Reductions accumulate in float64 and round the result back to float32.
 Both convolutions run on one lowering and its adjoint, and the two kernels
 own the same-padding geometry: ``_lower`` pads its input and computes
 ``w2 @ im2col(padded)``, and its backward gives the weight gradient and,
-when asked, the cropped input gradient; ``_adjoint`` adds
-``col2im(w2.T @ g)`` into a zeroed padded buffer and returns the crop.
+when asked, the input gradient; ``_adjoint`` adds ``col2im(w2.T @ g)``
+into a zeroed buffer of the unpadded extent, each tap clipped to that grid.
 conv2d is the lowering, whose backward runs the adjoint for the input
 gradient; conv2d_transpose is the adjoint forward and the lowering
 backward. The two ops only check their operands (one check for both), add
@@ -24,21 +24,31 @@ in float64. Every sample goes through the same BLAS call as it would in a
 batch of its own, so a sample's output and input gradient do not depend on
 the batch it is in.
 
-That is also why a batch may be split across CPUs without moving a bit. The
-lowering (im2col and its GEMM, or the one-row loop), the one-row weight and
-input gradient loop, and the adjoint (its GEMM and col2im) each run over
-contiguous sample ranges (``_split_samples``), one range per CPU the process
-may run on and never more ranges than samples: the calling thread takes the
-first, a thread pool made at the first split the others. A batch of one,
-or of samples whose GEMMs take fewer than ``_SPLIT_MIN_MACS`` multiply-adds
-each, runs inline. Each range writes only its own samples' rows of buffers allocated
-for the whole batch. The column path's weight gradient stays serial, adding
-its per-sample products in batch order, because running them side by side
-would need a product buffer per sample or per thread; the one-row path keeps
-its small per-sample products and adds them afterwards in batch order.
-glibc gets one malloc arena (below), so the pool's threads reuse the main
-heap, and a forked child makes a fresh pool at its first split, since the
-parent's threads do not exist there.
+That is also why work may be split across CPUs without moving a bit. One
+helper, ``_split``, cuts a leading range into contiguous ranges, one per CPU
+the process may run on and never more ranges than units: the calling thread
+takes the first, a thread pool made at the first split the others, and each
+range writes only its own part of buffers allocated for the whole. A range
+is one of:
+- samples, for the convolutions' lowering (im2col and its GEMM, or the
+  one-row loop), the one-row weight and input gradient loop, the adjoint
+  (its GEMM and col2im) and the column path's weight-gradient products,
+  when a sample's GEMMs take ``_SPLIT_MIN_MACS`` multiply-adds or more;
+- samples (rows along the first axis), for power_expand, tanh, sigmoid and
+  their backwards, and channel blocks, for training batchnorm's statistics,
+  normalization and backward, when the input spans ``_SPLIT_MIN_BYTES`` or
+  more;
+- blocks of Adam's parameters (``optim``), above the same bytes floor.
+Anything else, and a batch of one, runs inline. Every sample, channel and
+element goes through the numpy calls it would go through alone, so the bits
+do not depend on the number of ranges. The column path's weight-gradient
+products run side by side only where one sample's product takes at most
+``_SPLIT_MAX_PRODUCT_BYTES``: they go into one buffer of the batch's and
+are then added in batch order in float64, as the serial path adds each one
+as it is formed. Larger products stay serial, because their buffer would
+raise peak memory. glibc gets one malloc arena (below), so the pool's
+threads reuse the main heap, and a forked child makes a fresh pool at its
+first split, since the parent's threads do not exist there.
 
 A lowering whose ``w2`` has one row (conv2d with one output channel, as the
 final layer's, or conv2d_transpose with one input channel) builds no
@@ -55,12 +65,13 @@ these loops holds one sample's k*k grid rows (and, in the adjoint, C rows
 of ``W_taps @ G[n]``) at a time. The sums run in another order than the
 column form's, so results differ from it by float32 rounding.
 
-Batchnorm keeps float64 statistics per channel block: the variance and the
-backward run over blocks of channels (about ``_BN_BLOCK_BYTES`` of float64
-each, two channels at least) through one reused buffer, so the op makes no
-full-size temporary besides its outputs and ``xhat``. Each channel is still
-reduced over the whole tensor's (N, H*W) layout, so the bits are those of
-whole-tensor expressions.
+Batchnorm keeps float64 statistics per channel block: the mean, the
+variance and the backward run over blocks of channels (about
+``_BN_BLOCK_BYTES`` of float64 each, two channels at least), the statistics
+through a block buffer per range and the backward through the input
+gradient's block and one sample's block per range, so the op makes no
+full-size temporary besides its outputs and ``xhat``. Each channel is still reduced over the whole tensor's
+(N, H*W) layout, so the bits are those of whole-tensor expressions.
 
 Inside ``no_graph()`` (what ``OSegNetModel.forward(training=False)`` runs
 under) ops compute the same values but record no graph: each output keeps no
@@ -120,9 +131,9 @@ def _keep_freed_memory(libc) -> None:
 if os.name == "posix":
     _keep_freed_memory(ctypes.CDLL(None))
 
-# Sample ranges a convolution splits its batch into at most: the CPUs this
-# process may run on. The pool runs all but the first range; it is made at
-# the first split, so a process that never splits imports no thread pool.
+# Ranges a split makes at most: the CPUs this process may run on. The pool
+# runs all but the first range; it is made at the first split, so a process
+# that never splits imports no thread pool.
 _width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 _pool = None
 
@@ -138,34 +149,55 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-# Multiply-adds a sample's GEMMs must take for its batch to be split: below
-# this, handing samples to the pool costs more than it saves. On a 2-CPU
-# x86-64 host, splitting the canonical layers at batch 4 made their summed
-# forward and backward 7% slower at 64 px, where a sample takes at most
+# Multiply-adds a sample's GEMMs must take for a convolution's batch to be
+# split: below this, handing samples to the pool costs more than it saves. On
+# a 2-CPU x86-64 host, splitting the canonical layers at batch 4 made their
+# summed forward and backward 7% slower at 64 px, where a sample takes at most
 # 3.5 M, and 23% faster at 224 px, where all but the first take 10.8 M or more.
 _SPLIT_MIN_MACS = 1 << 23
 
+# Bytes the input of a training batchnorm, power_expand, tanh or sigmoid (or
+# Adam's parameters) must span for the op to be split. On the same host, at
+# the canonical batch-4 shapes, splitting made an op's forward plus backward
+# 27-49% faster from 1.5 MiB up (tanh at 1.5 MiB: 2%). At 0.77 MiB
+# batchnorm, sigmoid and power_expand gained 19-34% but tanh lost 52%; at
+# 0.38 MiB or less no op gained over 2% and tanh lost up to 7x. Every 64 px
+# input is 0.5 MiB or less. Adam's 6 MiB of parameters gained 17%.
+_SPLIT_MIN_BYTES = 1 << 20
 
-def _split_samples(n: int, macs: int, fn) -> None:
-    """Call fn(a, b) once for each of contiguous sample ranges [a, b) that cover [0, n).
+# Bytes one sample's float32 weight-gradient product may take for the column
+# path to form the products side by side, in a buffer of the whole batch's.
+# Decoder block 1 (3.4 MiB) and encoder stage 5 (1.1 MiB) stay serial.
+_SPLIT_MAX_PRODUCT_BYTES = 1 << 20
 
-    ``macs`` is the multiply-adds of one sample's GEMMs. There are
-    min(_width, n) ranges, or one when ``macs`` is below _SPLIT_MIN_MACS: the
-    calling thread runs the first and the pool the others, and the call
-    returns once all are done, raising the first error a range raised. A
-    batch of one runs inline.
+
+def _ranges(n: int, work: int, floor: int) -> int:
+    """How many ranges _split cuts [0, n) into for this work and floor."""
+    return min(_width, n) if work >= floor else 1
+
+
+def _split(n: int, work: int, floor: int, fn) -> None:
+    """Call fn(a, b) once for each of contiguous ranges [a, b) that cover [0, n).
+
+    The ranges index what the caller splits: samples, batchnorm channel
+    blocks or Adam's parameter blocks. ``work`` is measured in the unit of
+    ``floor``: a sample's multiply-adds for the convolutions, an op's bytes
+    for the rest. There are min(_width, n) ranges, or one when ``work`` is
+    below ``floor``: the calling thread runs the first and the pool the
+    others, and the call returns once all are done, raising the first error
+    a range raised. One range runs inline.
     """
     global _pool
-    width = min(_width, n) if macs >= _SPLIT_MIN_MACS else 1
+    width = _ranges(n, work, floor)
     if width == 1:
         fn(0, n)
         return
     # Imported here, not with the engine: it also imports logging, which a
-    # process that never splits a batch need not load.
+    # process that never splits need not load.
     from concurrent.futures import ThreadPoolExecutor, wait
 
     if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=max(_width - 1, 1), thread_name_prefix="osegnet-conv")
+        _pool = ThreadPoolExecutor(max_workers=max(_width - 1, 1), thread_name_prefix="osegnet")
     bounds = [i * n // width for i in range(width + 1)]
     futures = [_pool.submit(fn, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
     try:
@@ -174,6 +206,22 @@ def _split_samples(n: int, macs: int, fn) -> None:
         wait(futures)  # the ranges write into the caller's buffers
     for future in futures:
         future.result()
+
+
+def _rowwise(fn, *arrays) -> np.ndarray:
+    """fn(*arrays, out=out) into a new array ``out`` shaped like arrays[0].
+
+    The arrays share a shape; each range of rows along their first axis
+    (_split) gets its own call, so fn must work element by element.
+    """
+    out = np.empty_like(arrays[0])
+    rows = [a.reshape(a.shape[0] if a.ndim else 1, -1) for a in (*arrays, out)]
+
+    def run(a, b):
+        fn(*(r[a:b] for r in rows[:-1]), out=rows[-1][a:b])
+
+    _split(len(rows[-1]), out.nbytes, _SPLIT_MIN_BYTES, run)
+    return out
 
 
 class ShapeError(ValueError):
@@ -260,11 +308,14 @@ class Tensor:
     # -- graph walk ---------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the whole graph.
+        """Backpropagate from this scalar through the whole graph, releasing it.
 
         Deterministic: the topological order and every accumulation order are
-        fixed by graph construction order, so repeated runs on the same graph
-        produce bit-identical gradients.
+        fixed by graph construction order, so repeated runs on the same inputs
+        produce bit-identical gradients. Each interior node drops its backward
+        closure (and the buffers it captured) and its gradient once it has been
+        walked; leaves keep their gradients, and every node its parents. A
+        second ``backward()`` through a released node raises RuntimeError.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -282,6 +333,10 @@ class Tensor:
                 raise RuntimeError(
                     f"backward() reached a {node._op!r} node built in inference mode, which "
                     f"records no graph; run forward(training=True) to backpropagate")
+            if node._parents and node._backward_fn is None:
+                raise RuntimeError(
+                    f"backward() reached a {node._op!r} node that an earlier backward() "
+                    f"released; run the forward again to backpropagate again")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -289,8 +344,10 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node._parents:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                node._backward_fn = node.grad = None
 
     # -- elementwise algebra -------------------------------------------------
 
@@ -402,24 +459,44 @@ class Tensor:
     # -- activations ---------------------------------------------------------
 
     def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
+        y = _rowwise(np.tanh, self.data)
 
         def bwd(g):
-            _accumulate(self, g * (1.0 - y * y))
+            _accumulate(self, _rowwise(_tanh_grad, g, y), owned=True)
 
         return Tensor(y, (self,), "tanh", bwd)
 
     def sigmoid(self) -> "Tensor":
-        x = self.data
-        # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1,
-        # so exp never overflows.
-        e = np.exp(-np.abs(x))
-        y = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        y = _rowwise(_sigmoid, self.data)
 
         def bwd(g):
-            _accumulate(self, g * (y * (1.0 - y)))
+            _accumulate(self, _rowwise(_sigmoid_grad, g, y), owned=True)
 
         return Tensor(y, (self,), "sigmoid", bwd)
+
+
+def _tanh_grad(g, y, out):
+    """out = g * (1 - y * y)."""
+    np.multiply(y, y, out=out)
+    np.subtract(1.0, out, out=out)
+    np.multiply(g, out, out=out)
+
+
+def _sigmoid(x, out):
+    """out = 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|).
+
+    e <= 1, so exp never overflows, and the numerator is max(e, x >= 0):
+    np.where with a scalar took over twice as long for the same bytes.
+    """
+    e = np.exp(-np.abs(x))
+    np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
+
+
+def _sigmoid_grad(g, y, out):
+    """out = g * (y * (1 - y))."""
+    np.subtract(1.0, y, out=out)
+    np.multiply(y, out, out=out)
+    np.multiply(g, out, out=out)
 
 
 # -- convolution kernels ------------------------------------------------------
@@ -443,13 +520,29 @@ def _im2col(padded: np.ndarray, k: int, stride: int, h_out: int, w_out: int,
     return cols
 
 
-def _col2im_add(buf: np.ndarray, cols: np.ndarray, k: int, stride: int,
-                h_out: int, w_out: int) -> None:
-    """Scatter-add columns (N, C, k, k, h_out, w_out) into buf (N, C, Hp, Wp) in place."""
+def _clip_taps(offset: int, stride: int, n_out: int, extent: int) -> tuple[int, int, slice]:
+    """Output positions [i0, i1) whose tap at this offset lands on the unpadded
+    grid (0 <= i*stride + offset < extent), and the grid positions they land on."""
+    i0 = max(0, -(offset // stride))
+    i1 = min(n_out, -((offset - extent) // stride))
+    start = i0 * stride + offset
+    return i0, i1, slice(start, start + max(i1 - i0, 0) * stride, stride)
+
+
+def _col2im_add(buf: np.ndarray, cols: np.ndarray, k: int, stride: int, pt: int, pl: int) -> None:
+    """Scatter-add columns (N, C, k, k, h_out, w_out) into buf (N, C, h, w) in place.
+
+    Tap (ky, kx) of output pixel (i, j) lands on pixel (i*stride + ky - pt,
+    j*stride + kx - pl); a tap that lands in the padding is dropped, so each
+    pixel gets the terms, in the (ky, kx) order, that a padded buffer's crop
+    would get.
+    """
+    h_out, w_out = cols.shape[4:]
     for ky in range(k):
+        i0, i1, ys = _clip_taps(ky - pt, stride, h_out, buf.shape[2])
         for kx in range(k):
-            buf[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
-                kx:kx + (w_out - 1) * stride + 1:stride] += cols[:, :, ky, kx]
+            j0, j1, xs = _clip_taps(kx - pl, stride, w_out, buf.shape[3])
+            buf[:, :, ys, xs] += cols[:, :, ky, kx, i0:i1, j0:j1]
 
 
 def _sum_taps(y: np.ndarray, z: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> None:
@@ -488,9 +581,10 @@ def _lower(x, w2, k, stride):
     the float32 products in batch order onto float64 zeros, and, if
     want_dx, the input gradient (N, C, H, W) as a new array (else None). The
     whole batch's columns are built once, a sample range per thread
-    (_split_samples), and back keeps them, not the padded input; it forms
-    the weight gradient's products one at a time on the calling thread and
-    takes the input gradient from _adjoint.
+    (_split), and back keeps them, not the padded input. It forms the
+    weight gradient's products a sample range per thread into one buffer
+    when a product takes at most _SPLIT_MAX_PRODUCT_BYTES, else one at a
+    time on the calling thread, and takes the input gradient from _adjoint.
 
     With one row in w2 no columns are built and each sample goes through its
     own BLAS calls: Z = W_taps.T @ padded[n] (k*k x Hp*Wp) gives y as the
@@ -514,17 +608,27 @@ def _lower(x, w2, k, stride):
             _im2col(padded[a:b], k, stride, h_out, w_out, cols[a:b])
             np.matmul(w2, cols[a:b].reshape(b - a, rows, hw), out=y[a:b])
 
-        _split_samples(n, w2.size * hw, lower)
+        _split(n, w2.size * hw, _SPLIT_MIN_MACS, lower)
         cols = cols.reshape(n, rows, hw)
 
         def back(g, want_dx):
             g3 = g.reshape(n, cout, hw)
             dw = np.zeros((cout, rows))
-            part = np.empty((cout, rows), dtype=np.float32)
-            for a, b in zip(g3, cols):
-                dw += np.matmul(a, b.T, out=part)
-            # + 0.0 copies the crop out of the adjoint's padded buffer.
-            return dw, _adjoint(g3, w2, k, stride, h, w) + 0.0 if want_dx else None
+            macs = w2.size * hw
+            if w2.nbytes <= _SPLIT_MAX_PRODUCT_BYTES and _ranges(n, macs, _SPLIT_MIN_MACS) > 1:
+                parts = np.empty((n, cout, rows), dtype=np.float32)
+
+                def products(a, b):
+                    for i in range(a, b):
+                        np.matmul(g3[i], cols[i].T, out=parts[i])
+
+                _split(n, macs, _SPLIT_MIN_MACS, products)
+            else:
+                buf = np.empty((cout, rows), dtype=np.float32)
+                parts = (np.matmul(a, b.T, out=buf) for a, b in zip(g3, cols))
+            for part in parts:
+                dw += part
+            return dw, _adjoint(g3, w2, k, stride, h, w) if want_dx else None
     else:
         grid = padded.shape[2] * padded.shape[3]
         w_taps = w2.reshape(c, k * k)
@@ -535,7 +639,7 @@ def _lower(x, w2, k, stride):
                 np.matmul(w_taps.T, padded[i].reshape(c, grid), out=z.reshape(k * k, grid))
                 _sum_taps(y[i].reshape(h_out, w_out), z, k, stride, h_out, w_out)
 
-        _split_samples(n, w2.size * grid, lower_grid)
+        _split(n, w2.size * grid, _SPLIT_MIN_MACS, lower_grid)
 
         def back(g, want_dx):
             g3 = g.reshape(n, 1, hw)
@@ -550,7 +654,7 @@ def _lower(x, w2, k, stride):
                         np.matmul(w_taps, gi, out=dpad[i].reshape(c, grid))
                     np.matmul(padded[i].reshape(c, grid), gi.T, out=parts[i])
 
-            _split_samples(n, w2.size * grid, grads)
+            _split(n, w2.size * grid, _SPLIT_MIN_MACS, grads)
             dw = np.zeros((c, k * k))
             for part in parts:
                 dw += part
@@ -562,43 +666,42 @@ def _lower(x, w2, k, stride):
 
 
 def _adjoint(g3, w2, k, stride, h, w):
-    """col2im(w2.T @ g3) added into zeros and cropped: the adjoint of _lower.
+    """col2im(w2.T @ g3) added into zeros: the adjoint of _lower.
 
     g3: (N, Cout, h_out*w_out); w2: (Cout, C*k*k); (h, w): the extent of
     the lowering's input, whose same padding gives (h_out, w_out). Returns
-    the (N, C, h, w) crop, a view of the zeroed padded buffer the whole
-    batch's columns were added into. Each sample range (_split_samples)
-    forms its columns' GEMM and adds them into its own samples. With one
-    row in w2 no columns are built: dpad[n] += W_taps (C x k*k) @ G[n], one
-    sample at a time, with G from _shift_taps.
+    the (N, C, h, w) result as a new array. Each sample range (_split) forms
+    its columns' GEMM and adds each tap, clipped to the unpadded grid
+    (_col2im_add), into its own samples. With one row in w2 no columns are
+    built: W_taps (C x k*k) @ G[n] is formed on the padded grid, one sample
+    at a time, with G from _shift_taps, and its crop added into zeros.
     """
     n = len(g3)
     c = w2.shape[1] // (k * k)
     h_out, pt, pb = _same_pads(h, k, stride)
     w_out, pl, pr = _same_pads(w, k, stride)
-    dpad = np.zeros((n, c, h + pt + pb, w + pl + pr), dtype=np.float32)
+    dx = np.zeros((n, c, h, w), dtype=np.float32)
     if w2.shape[0] > 1:
         cols = np.empty((n, c * k * k, h_out * w_out), dtype=np.float32)
         macs = w2.size * h_out * w_out
 
         def add(a, b):
             np.matmul(w2.T, g3[a:b], out=cols[a:b])
-            _col2im_add(dpad[a:b], cols[a:b].reshape(b - a, c, k, k, h_out, w_out),
-                        k, stride, h_out, w_out)
+            _col2im_add(dx[a:b], cols[a:b].reshape(b - a, c, k, k, h_out, w_out), k, stride, pt, pl)
     else:
-        grid = dpad.shape[2] * dpad.shape[3]
-        macs = w2.size * grid
+        hp, wp = h + pt + pb, w + pl + pr
+        macs = w2.size * hp * wp
 
         def add(a, b):
-            shifted = np.empty((k * k, *dpad.shape[2:]), dtype=np.float32)
-            prod = np.empty(dpad.shape[1:], dtype=np.float32)
+            shifted = np.empty((k * k, hp, wp), dtype=np.float32)
+            prod = np.empty((c, hp, wp), dtype=np.float32)
             for i in range(a, b):
-                g = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, grid)
-                np.matmul(w2.reshape(c, k * k), g, out=prod.reshape(c, grid))
-                dpad[i] += prod
+                g = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, hp * wp)
+                np.matmul(w2.reshape(c, k * k), g, out=prod.reshape(c, hp * wp))
+                dx[i] += prod[:, pt:pt + h, pl:pl + w]
 
-    _split_samples(n, macs, add)
-    return dpad[:, :, pt:pt + h, pl:pl + w]
+    _split(n, macs, _SPLIT_MIN_MACS, add)
+    return dx
 
 
 def _conv_operands(op: str, x: Tensor, kernels: Tensor, bias: Tensor, stride: int):
@@ -682,17 +785,28 @@ def power_expand(x: Tensor, q_order: int) -> Tensor:
         return x
     n, c, h, w = x.shape
     pows = np.empty((n, c, q_order, h, w), dtype=np.float32)
-    pows[:, :, 0] = x.data
-    for q in range(1, q_order):
-        np.multiply(pows[:, :, q - 1], x.data, out=pows[:, :, q])
+
+    def expand(a, b):
+        xs, ps = x.data[a:b], pows[a:b]
+        ps[:, :, 0] = xs
+        for q in range(1, q_order):
+            np.multiply(ps[:, :, q - 1], xs, out=ps[:, :, q])
+
+    _split(n, x.data.nbytes, _SPLIT_MIN_BYTES, expand)
 
     def bwd(g):
         g5 = g.reshape(n, c, q_order, h, w)
-        dx = g5[:, :, 0].copy()
-        term = np.empty_like(dx)
-        for q in range(1, q_order):
-            np.multiply(q + 1, pows[:, :, q - 1], out=term)
-            dx += np.multiply(term, g5[:, :, q], out=term)
+        dx = np.empty_like(x.data)
+
+        def grad(a, b):
+            ds, gs, ps = dx[a:b], g5[a:b], pows[a:b]
+            ds[...] = gs[:, :, 0]
+            term = np.empty_like(ds)
+            for q in range(1, q_order):
+                np.multiply(q + 1, ps[:, :, q - 1], out=term)
+                ds += np.multiply(term, gs[:, :, q], out=term)
+
+        _split(n, x.data.nbytes, _SPLIT_MIN_BYTES, grad)
         _accumulate(x, dx, owned=True)
 
     return Tensor(pows.reshape(n, c * q_order, h, w), (x,), "power_expand", bwd)
@@ -726,9 +840,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     value per channel (N*H*W = 1) raises ShapeError: it would output beta
     with a zero input gradient.
 
-    Float64 statistics per channel block: the variance and the backward run
-    over blocks of channels (``_channel_blocks``) through one reused buffer,
-    so no full-size temporary is made beyond ``xhat``, ``y`` and the input
+    Float64 statistics per channel block: in training, the mean and
+    variance, then xhat and y, then the backward run over ranges of channel
+    blocks (``_channel_blocks``, _split). The statistics take a float64
+    block buffer per range; the backward forms its products in the input
+    gradient's block and takes one sample's float32 block per range. So no
+    full-size temporary is made beyond ``xhat``, ``y`` and the input
     gradient. Each channel is reduced in the order a whole-tensor reduction
     uses, so blocking changes no bits.
     """
@@ -749,28 +866,43 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         def block(buf, c0, c1):
             return buf[:n * (c1 - c0) * h * w].reshape(n, c1 - c0, h, w)
 
-        mu = x.data.mean(axis=axes, dtype=np.float64)
+        mu = np.empty(c, dtype=np.float64)
         var = np.empty(c, dtype=np.float64)
-        buf = np.empty(block_size, dtype=np.float64)
-        for c0, c1 in blocks:
-            dev = block(buf, c0, c1)
-            np.subtract(x.data[:, c0:c1], mu[c0:c1].reshape(1, -1, 1, 1), out=dev)
-            var[c0:c1] = np.square(dev, out=dev).mean(axis=axes)
-        del buf, dev  # free the block buffer before xhat and y are made
+
+        def stats(i, j):
+            buf = np.empty(block_size, dtype=np.float64)
+            for c0, c1 in blocks[i:j]:
+                xb, dev = x.data[:, c0:c1], block(buf, c0, c1)
+                mu[c0:c1] = xb.mean(axis=axes, dtype=np.float64)
+                np.subtract(xb, mu[c0:c1].reshape(1, -1, 1, 1), out=dev)
+                var[c0:c1] = np.square(dev, out=dev).mean(axis=axes)
+
+        # The block buffers are freed before xhat and y are made.
+        _split(len(blocks), x.data.nbytes, _SPLIT_MIN_BYTES, stats)
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu.astype(np.float32)
         running_var *= momentum
         running_var += (1.0 - momentum) * var.astype(np.float32)
     else:
+        blocks = [(0, c)]
         mu = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
 
     inv = (1.0 / np.sqrt(var + eps)).astype(np.float32).reshape(1, c, 1, 1)
-    xhat = np.subtract(x.data, mu.astype(np.float32).reshape(1, c, 1, 1))
-    np.multiply(xhat, inv, out=xhat)
+    mu4 = mu.astype(np.float32).reshape(1, c, 1, 1)
+    g4, b4 = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
+    xhat = np.empty_like(x.data)
     # Inference needs no xhat afterwards, so y overwrites it.
-    y = np.multiply(gamma.data.reshape(1, c, 1, 1), xhat, out=None if training else xhat)
-    y += beta.data.reshape(1, c, 1, 1)
+    y = np.empty_like(x.data) if training else xhat
+
+    def normalize(i, j):
+        for c0, c1 in blocks[i:j]:
+            xb = np.subtract(x.data[:, c0:c1], mu4[:, c0:c1], out=xhat[:, c0:c1])
+            np.multiply(xb, inv[:, c0:c1], out=xb)
+            yb = np.multiply(g4[:, c0:c1], xb, out=y[:, c0:c1])
+            yb += b4[:, c0:c1]
+
+    _split(len(blocks), x.data.nbytes, _SPLIT_MIN_BYTES, normalize)
     if not training:
         with no_graph():
             return Tensor(y, (x, gamma, beta), "batchnorm")
@@ -779,19 +911,29 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         dgamma = np.empty(c, dtype=np.float64)
         dbeta = np.empty(c, dtype=np.float64)
         dx = np.empty_like(g)
-        buf = np.empty(block_size, dtype=np.float32)
-        for c0, c1 in blocks:
-            gb, xb, t = g[:, c0:c1], xhat[:, c0:c1], block(buf, c0, c1)
-            dgamma[c0:c1] = np.multiply(gb, xb, out=t).sum(axis=axes, dtype=np.float64)
-            dbeta[c0:c1] = gb.sum(axis=axes, dtype=np.float64)
-            gs = np.multiply(gb, gamma.data[c0:c1].reshape(1, -1, 1, 1), out=dx[:, c0:c1])
-            mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, -1, 1, 1)
-            mean_gs_xhat = np.multiply(gs, xb, out=t).mean(axis=axes, dtype=np.float64)
-            np.multiply(xb, mean_gs_xhat.astype(np.float32).reshape(1, -1, 1, 1), out=t)
-            # dx = inv * ((gs - mean_gs) - xhat * mean_gs_xhat), written over gs.
-            np.subtract(gs, mean_gs, out=gs)
-            np.subtract(gs, t, out=gs)
-            np.multiply(inv[:, c0:c1], gs, out=gs)
+
+        def backward(i, j):
+            # The products the sums take are formed in the block's own dx, so
+            # a range holds one sample's block of scratch, not a whole block.
+            buf = np.empty(block_size // n, dtype=np.float32)
+            for c0, c1 in blocks[i:j]:
+                gb, xb, d, gam = g[:, c0:c1], xhat[:, c0:c1], dx[:, c0:c1], g4[:, c0:c1]
+                dgamma[c0:c1] = np.multiply(gb, xb, out=d).sum(axis=axes, dtype=np.float64)
+                dbeta[c0:c1] = gb.sum(axis=axes, dtype=np.float64)
+                gs = np.multiply(gb, gam, out=d)
+                mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, -1, 1, 1)
+                mean_gs_xhat = np.multiply(gs, xb, out=d).mean(axis=axes, dtype=np.float64)
+                mean_gs_xhat = mean_gs_xhat.astype(np.float32).reshape(-1, 1, 1)
+                # dx = inv * ((gs - mean_gs) - xhat * mean_gs_xhat), written over
+                # gs, formed again, with one sample's xhat * mean_gs_xhat at a time.
+                gs = np.multiply(gb, gam, out=d)
+                np.subtract(gs, mean_gs, out=gs)
+                t = buf[:(c1 - c0) * h * w].reshape(c1 - c0, h, w)
+                for k in range(n):
+                    np.subtract(gs[k], np.multiply(xb[k], mean_gs_xhat, out=t), out=gs[k])
+                np.multiply(inv[:, c0:c1], gs, out=gs)
+
+        _split(len(blocks), g.nbytes, _SPLIT_MIN_BYTES, backward)
         _accumulate(gamma, dgamma.astype(np.float32))
         _accumulate(beta, dbeta.astype(np.float32))
         _accumulate(x, dx, owned=True)

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from osegnet import optim as optim_mod
 from osegnet import tensor as tensor_mod
+from osegnet.optim import Adam
 from osegnet.tensor import (ShapeError, Tensor, batchnorm, conv2d, conv2d_transpose,
                             finite_diff_grad, no_graph, power_expand)
 
@@ -162,6 +164,22 @@ class TestBackward:
         y = x * x + x * 3.0  # reuses x twice
         y.sum().backward()
         assert np.allclose(x.grad, [2 * 2.0 + 3.0])
+
+    def test_a_second_backward_through_a_released_graph_raises(self):
+        # Negative control: backward() drops each interior node's closure and
+        # gradient once walked, so a second walk would have nothing to run.
+        x = Tensor([1.0, 2.0])
+        h = x * x
+        loss = (h.tanh() * 3.0).sum()
+        loss.backward()
+        grad = x.grad.copy()
+        assert (h._backward_fn, h.grad, loss._backward_fn, loss.grad) == (None, None, None, None)
+        assert h._parents == (x, x) and grad.any()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (h * 2.0).sum().backward()  # a new loss over a released node
+        assert x.grad.tobytes() == grad.tobytes()  # neither walk reached a gradient
 
 
 class TestNoGraph:
@@ -492,7 +510,10 @@ def column_form(x0, k0, b0, g0, stride, dtype=np.float32):
         dw += np.matmul(a, b.T)
     dpad = np.zeros(padded.shape, dtype)
     dcols = np.matmul(w2.T, g3).reshape(n, c, k, k, h_out, w_out)
-    tensor_mod._col2im_add(dpad, dcols, k, stride, h_out, w_out)
+    for ky in range(k):
+        for kx in range(k):
+            dpad[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
+                 kx:kx + (w_out - 1) * stride + 1:stride] += dcols[:, :, ky, kx]
     return {"y": y, "x": dpad[:, :, pt:pt + h, pl:pl + w],
             "kernel": dw.astype(dtype).reshape(k0.shape),
             "bias": g3.sum(axis=(0, 2), dtype=np.float64).astype(dtype)}
@@ -586,8 +607,8 @@ class TestOneOutputChannelBackward:
         weight gradient."""
         # The backward writes W_taps @ G straight over an empty dpad; the input
         # gradient must be that of adding the adjoint into zeros, which turns
-        # -0.0 into +0.0. h = x * 1 takes conv2d's dx as its first gradient,
-        # unmixed with a leaf's zeros.
+        # -0.0 into +0.0. x is a leaf whose gradient buffer holds -0.0, which
+        # adding conv2d's dx into leaves with dx's bytes.
         rng = np.random.default_rng(36)
         x0 = rng.standard_normal((3, 5, 11, 9)).astype(np.float32)
         k0 = rng.standard_normal((1, 5, 3, 3)).astype(np.float32)
@@ -596,9 +617,9 @@ class TestOneOutputChannelBackward:
         g0[g0 > 0.3] = 0.0
         g0[g0 < -1.0] = -0.0
         x = Tensor(x0)
-        h = x * 1.0
+        x.grad[...] = -0.0
         kernel = Tensor(k0)
-        y = conv2d(h, kernel, zero_bias(1), stride=stride)
+        y = conv2d(x, kernel, zero_bias(1), stride=stride)
         g = np.ascontiguousarray(g0[:, :, :y.shape[2], :y.shape[3]])
         (y * Tensor(g)).sum().backward()
 
@@ -607,7 +628,7 @@ class TestOneOutputChannelBackward:
         _, back = tensor_mod._lower(x0, w2, 3, stride)
         dw, _ = back(g, False)
         want_dx = tensor_mod._adjoint(g.reshape(n, 1, -1), w2, 3, stride, hh, ww)
-        return h.grad, kernel.grad, want_dx, dw.astype(np.float32).reshape(k0.shape)
+        return x.grad, kernel.grad, want_dx, dw.astype(np.float32).reshape(k0.shape)
 
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
     def test_dx_keeps_the_bytes_of_the_adjoint_added_into_zeros(self, stride):
@@ -852,12 +873,13 @@ class TestConvTransposeColumnBudget:
 
 @contextlib.contextmanager
 def pool_width(monkeypatch, width):
-    """Convolutions split each batch, however small, into at most ``width``
-    sample ranges, on a pool of width - 1 threads, with the interpreter
+    """Every routed op splits its range, however small, into at most
+    ``width`` ranges, on a pool of width - 1 threads, with the interpreter
     switching threads often."""
     pool = ThreadPoolExecutor(max_workers=max(width - 1, 1))
     monkeypatch.setattr(tensor_mod, "_width", width)
     monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 0)
+    monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_BYTES", 0)
     monkeypatch.setattr(tensor_mod, "_pool", pool)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -911,6 +933,179 @@ class TestSampleRanges:
             for width, result in zip((2, 3), results[1:]):
                 assert result[name].tobytes() == results[0][name].tobytes(), (name, width)
 
+    @staticmethod
+    def assert_same_bytes_at_every_width(monkeypatch, run):
+        """run() returns named arrays; at pool widths 1, 2 and 3 each must
+        have the same bytes, and none may be all zeros."""
+        results = []
+        for width in (1, 2, 3):
+            with pool_width(monkeypatch, width):
+                results.append({name: a.copy() for name, a in run().items()})
+        for name in results[0]:
+            assert results[0][name].any(), name
+            for width, result in zip((2, 3), results[1:]):
+                assert result[name].tobytes() == results[0][name].tobytes(), (name, width)
+
+    @pytest.mark.parametrize("shape", [(3, 7, 5, 6), (2, 11, 4, 4)], ids=["3-blocks", "5-blocks"])
+    def test_batchnorm_bits_do_not_depend_on_the_pool_width(self, monkeypatch, shape):
+        n, c, h, w = shape
+        monkeypatch.setattr(tensor_mod, "_BN_BLOCK_BYTES", 8 * n * 2 * h * w)  # two channels a block
+        assert len(tensor_mod._channel_blocks(shape)) in (3, 5)
+        rng = np.random.default_rng([47, c])
+        x0 = (rng.standard_normal(shape) * 1.7 + 0.4).astype(np.float32)
+        x0[:, 1] = 0.3  # a zero-variance channel
+        gamma0 = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        beta0 = rng.uniform(-0.3, 0.3, c).astype(np.float32)
+        g0 = rng.standard_normal(shape).astype(np.float32)
+        stats0 = rng.uniform(0.5, 2.0, (2, c)).astype(np.float32)
+
+        def run():
+            x, gamma, beta = Tensor(x0), Tensor(gamma0), Tensor(beta0)
+            running_mean, running_var = stats0.copy()
+            y = batchnorm(x, gamma, beta, running_mean, running_var, 0.9, 1e-5, True)
+            (y * Tensor(g0)).sum().backward()
+            return {"y": y.data, "x": x.grad, "gamma": gamma.grad, "beta": beta.grad,
+                    "running_mean": running_mean, "running_var": running_var}
+
+        self.assert_same_bytes_at_every_width(monkeypatch, run)
+
+    @pytest.mark.parametrize("batch", [3, 5])
+    def test_elementwise_bits_do_not_depend_on_the_pool_width(self, monkeypatch, batch):
+        rng = np.random.default_rng([48, batch])
+        x0 = rng.uniform(-3.0, 3.0, (batch, 3, 7, 5)).astype(np.float32)
+        x0[..., 0] = 0.0
+        ops = {"power_expand": lambda t: power_expand(t, 3), "tanh": Tensor.tanh,
+               "sigmoid": Tensor.sigmoid}
+        g0 = {name: rng.standard_normal((batch, 9 if name == "power_expand" else 3, 7, 5))
+              .astype(np.float32) for name in ops}
+
+        def run():
+            out = {}
+            for name, op in ops.items():
+                x = Tensor(x0)
+                y = op(x)
+                (y * Tensor(g0[name])).sum().backward()
+                out[name], out[f"{name} dx"] = y.data, x.grad
+            return out
+
+        self.assert_same_bytes_at_every_width(monkeypatch, run)
+
+    def test_adam_bits_do_not_depend_on_the_pool_width(self):
+        block = optim_mod.BLOCK
+        shapes = [(block + 17,), (1,), (2 * block + 3,), (16, 24, 3, 3)]  # four blocks end to end
+        rng = np.random.default_rng(49)
+        start = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        grads = [[rng.standard_normal(s).astype(np.float32) for s in shapes] for _ in range(3)]
+
+        def run():
+            params = [Tensor(a.copy()) for a in start]  # the steps update .data in place
+            opt = Adam([(f"p{i}", t) for i, t in enumerate(params)], lr=3e-3)
+            for step in grads:
+                for t, g in zip(params, step):
+                    t.grad[...] = g
+                opt.step()
+            return {f"{kind}{i}": a for kind, arrays in (("p", [t.data for t in params]),
+                                                          ("m", opt.m), ("v", opt.v))
+                    for i, a in enumerate(arrays)}
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_same_bytes_at_every_width(monkeypatch, run)
+
+    @pytest.mark.parametrize("op", [conv2d, conv2d_transpose], ids=["conv2d", "transpose"])
+    @pytest.mark.parametrize("cap", [0, 1 << 20], ids=["one-at-a-time", "side-by-side"])
+    def test_weight_gradient_bits_do_not_depend_on_the_product_cap(self, monkeypatch, op, cap):
+        # With the products' cap at 0 the column path forms them one at a
+        # time while the lowering and the adjoint still split; with it above
+        # these products they are formed side by side.
+        monkeypatch.setattr(tensor_mod, "_SPLIT_MAX_PRODUCT_BYTES", cap)
+        ranges = []
+        split = tensor_mod._split
+
+        def record(n, work, floor, fn):
+            ranges.append((fn.__name__, tensor_mod._ranges(n, work, floor)))
+            split(n, work, floor, fn)
+
+        monkeypatch.setattr(tensor_mod, "_split", record)
+        rng = np.random.default_rng([50, cap])
+        x0 = rng.standard_normal((5, 4, 7, 6)).astype(np.float32)
+        k0 = rng.standard_normal((3, 4, 3, 3) if op is conv2d else (4, 3, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(3).astype(np.float32)
+        g0 = rng.standard_normal((5, 3, 14, 12)).astype(np.float32)
+        x0[0] *= np.float32(1e12)  # sample 2 cancels sample 0, as above
+        x0[2], g0[2] = -x0[0], g0[0]
+        self.assert_same_bytes_at_every_width(monkeypatch, lambda: self.run(op, x0, k0, b0, g0, 2))
+        assert (("products", 3) in ranges) == bool(cap)
+
+    def test_per_range_partial_sums_of_the_weight_gradient_round_otherwise(self, monkeypatch):
+        # Negative control for the tests above: adding each range's products
+        # into a float64 partial of its own, and then the partials, rounds
+        # otherwise on the cancelling samples.
+        rng = np.random.default_rng(51)
+        x0 = rng.standard_normal((5, 4, 7, 6)).astype(np.float32)
+        k0 = rng.standard_normal((3, 4, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(3).astype(np.float32)
+        g0 = rng.standard_normal((5, 3, 7, 6)).astype(np.float32)
+        x0[0] *= np.float32(1e12)
+        x0[4], g0[4] = -x0[0], g0[0]  # the last sample cancels the first
+        # One sample's float32 product, exact in its float64 sum.
+        products = [self.run(conv2d, x0[i:i + 1], k0, b0, g0[i:i + 1], 1)["kernel"] for i in range(5)]
+
+        def float64_sum(terms):
+            total = np.zeros(k0.shape)
+            for term in terms:
+                total += term
+            return total
+
+        want = float64_sum(products).astype(np.float32)
+        for width in (1, 2, 3):
+            with pool_width(monkeypatch, width):
+                assert self.run(conv2d, x0, k0, b0, g0, 1)["kernel"].tobytes() == want.tobytes()
+            bounds = [i * 5 // width for i in range(width + 1)]
+            partials = float64_sum(float64_sum(products[a:b]) for a, b in zip(bounds, bounds[1:]))
+            assert (partials.astype(np.float32).tobytes() == want.tobytes()) == (width == 1)
+
+    def test_each_routed_op_runs_inline_below_its_floor(self, monkeypatch):
+        # At width 3 each op splits when its work reaches its floor and runs
+        # as one range when the floor is one more.
+        rng = np.random.default_rng(52)
+        x0 = rng.standard_normal((3, 6, 5, 4)).astype(np.float32)
+        monkeypatch.setattr(tensor_mod, "_BN_BLOCK_BYTES", 8 * 3 * 2 * 5 * 4)  # three blocks
+        ones, zeros = Tensor(np.ones(6, np.float32)), Tensor(np.zeros(6, np.float32))
+        params = [Tensor(rng.standard_normal(s).astype(np.float32)) for s in [(optim_mod.BLOCK,)] * 3]
+        opt = Adam([(f"p{i}", t) for i, t in enumerate(params)], lr=1e-3)
+        kernel = Tensor(rng.standard_normal((2, 6, 3, 3)).astype(np.float32))
+
+        def loss_of(op):
+            return lambda: op(Tensor(x0)).sum().backward()
+
+        cases = [
+            ("batchnorm", "_SPLIT_MIN_BYTES", x0.nbytes, loss_of(
+                lambda x: batchnorm(x, ones, zeros, np.zeros(6, np.float32), np.ones(6, np.float32),
+                                    0.9, 1e-5, True))),
+            ("power_expand", "_SPLIT_MIN_BYTES", x0.nbytes, loss_of(lambda x: power_expand(x, 3))),
+            ("tanh", "_SPLIT_MIN_BYTES", x0.nbytes, loss_of(Tensor.tanh)),
+            ("sigmoid", "_SPLIT_MIN_BYTES", x0.nbytes, loss_of(Tensor.sigmoid)),
+            ("adam", "_SPLIT_MIN_BYTES", 3 * 4 * optim_mod.BLOCK, opt.step),
+            ("conv2d", "_SPLIT_MIN_MACS", kernel.size * 3 * 2, loss_of(
+                lambda x: conv2d(x, kernel, zero_bias(2), stride=2))),
+        ]
+        ranges = []
+        split = tensor_mod._split
+
+        def record(n, work, floor, fn):
+            ranges.append(tensor_mod._ranges(n, work, floor))
+            split(n, work, floor, fn)
+
+        with pool_width(monkeypatch, 3):
+            monkeypatch.setattr(tensor_mod, "_split", record)
+            for name, floor, work, run in cases:
+                for value, want in ((work + 1, {1}), (work, {3})):
+                    monkeypatch.setattr(tensor_mod, floor, value)
+                    ranges.clear()
+                    run()
+                    assert set(ranges) == want, (name, value)
+                monkeypatch.setattr(tensor_mod, floor, 0)
+
     def test_ranges_cover_the_batch_once_and_the_caller_runs_the_first(self, monkeypatch):
         calls = []
 
@@ -919,18 +1114,17 @@ class TestSampleRanges:
 
         with pool_width(monkeypatch, 3):
             for n in (1, 2, 5):
-                tensor_mod._split_samples(n, 0, record)
+                tensor_mod._split(n, 0, 0, record)
                 spans = sorted(calls)
                 assert [i for a, b, _ in spans for i in range(a, b)] == list(range(n))
                 assert len(spans) == min(3, n)
                 assert [on_caller for a, _, on_caller in spans] == [a == 0 for a, _, _ in spans]
                 calls.clear()
             # Samples below the work floor run inline as one range.
-            monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 100)
-            tensor_mod._split_samples(5, 99, record)
+            tensor_mod._split(5, 99, 100, record)
             assert calls == [(0, 5, True)]
             calls.clear()
-            tensor_mod._split_samples(5, 100, record)
+            tensor_mod._split(5, 100, 100, record)
             assert sorted(calls) == [(0, 1, True), (1, 3, False), (3, 5, False)]
 
     def test_a_failing_range_raises_after_every_range_is_done(self, monkeypatch):
@@ -944,7 +1138,7 @@ class TestSampleRanges:
 
         with pool_width(monkeypatch, 3):
             with pytest.raises(MemoryError, match="range 0"):
-                tensor_mod._split_samples(6, 0, work)
+                tensor_mod._split(6, 0, 0, work)
             assert sorted(done) == [2, 4]
 
     def test_the_first_split_imports_the_pool(self):
@@ -956,7 +1150,7 @@ class TestSampleRanges:
             "from osegnet import tensor",
             "assert 'concurrent.futures' not in sys.modules and tensor._pool is None",
             "tensor._width = 2",
-            "tensor._split_samples(2, tensor._SPLIT_MIN_MACS, lambda a, b: None)",
+            "tensor._split(2, 0, 0, lambda a, b: None)",
             "assert 'concurrent.futures' in sys.modules and tensor._pool is not None",
         ])
         src = Path(tensor_mod.__file__).resolve().parents[1]
@@ -969,22 +1163,31 @@ class TestSampleRanges:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_gets_a_pool_that_runs(self, monkeypatch):
         # The parent's pool has a worker thread when it forks; the child has
-        # none, so without a fresh pool its conv waits forever.
+        # none, so without a fresh pool its split ops wait forever.
         monkeypatch.setattr(tensor_mod, "_width", 2)
         monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 0)
+        monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(tensor_mod, "_BN_BLOCK_BYTES", 8 * 4 * 2 * 8 * 8)  # two channel blocks
         rng = np.random.default_rng(45)
         x0 = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
-        k0 = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        k0 = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        w0, g0 = rng.standard_normal((2, 2 * optim_mod.BLOCK + 5)).astype(np.float32)
 
-        def conv():
-            return conv2d(Tensor(x0), Tensor(k0), zero_bias(2)).data.tobytes()
+        def ops():
+            x = conv2d(Tensor(x0), Tensor(k0), zero_bias(4))
+            y = batchnorm(x, Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32)),
+                          np.zeros(4, np.float32), np.ones(4, np.float32), 0.9, 1e-5, True)
+            w = Tensor(w0.copy())
+            w.grad[...] = g0
+            Adam([("w", w)], lr=1e-3).step()  # three blocks in two ranges
+            return x.data.tobytes() + y.data.tobytes() + w.data.tobytes()
 
-        expected = conv()  # starts the pool's thread
+        expected = ops()  # starts the pool's thread
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                code = 0 if conv() == expected else 2
+                code = 0 if ops() == expected else 2
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 30
@@ -995,7 +1198,7 @@ class TestSampleRanges:
             if time.monotonic() > deadline:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish a batch-4 conv in 30 s")
+                pytest.fail("the forked child did not finish a split conv, batchnorm and Adam step in 30 s")
             time.sleep(0.02)
         assert os.waitstatus_to_exitcode(status) == 0
 
