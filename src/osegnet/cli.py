@@ -119,6 +119,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {cfg.epochs}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     _check_threshold(cfg.threshold)
     _check_lr(cfg.lr)
     # Built only for their validators: q_order, input_size, widths, gamma, alpha.

@@ -10,19 +10,20 @@ same-padded and always add a per-channel bias, the one form the network
 uses. Reductions accumulate in float64 and round the result back to float32.
 
 Both convolutions run on one lowering and its adjoint, and the two kernels
-own the same-padding geometry: ``_lower`` pads its input and computes
-``w2 @ im2col(padded)``, and its backward gives the weight gradient and,
-when asked, the input gradient; ``_adjoint`` adds ``col2im(w2.T @ g)``
-into a zeroed buffer of the unpadded extent, each tap clipped to that grid.
-conv2d is the lowering, whose backward runs the adjoint for the input
-gradient; conv2d_transpose is the adjoint forward and the lowering
-backward. The two ops only check their operands (one check for both), add
-the bias and wire the graph. Each kernel builds the columns of its whole
-batch at once, and the lowering keeps them, not the padded input, for the
-weight gradient, which adds the per-sample float32 products in batch order
-in float64. Every sample goes through the same BLAS call as it would in a
-batch of its own, so a sample's output and input gradient do not depend on
-the batch it is in.
+own the same-padding geometry: ``_lower`` pads its input, computes
+``w2 @ im2col(padded)`` and returns with it a function for the weight
+gradient; ``_adjoint`` adds ``col2im(w2.T @ g)`` into a zeroed buffer of
+the unpadded extent, each tap clipped to that grid, and is the lowering's
+one input gradient. conv2d is the lowering forward, whose backward takes
+the weight gradient from the lowering and the input gradient from the
+adjoint; conv2d_transpose is the adjoint forward, whose backward is the
+lowering and its weight gradient. The two ops only check their operands
+(one check for both), add the bias and wire the graph. Each kernel builds
+the columns of its whole batch at once, and the lowering keeps them, not
+the padded input, for the weight gradient, which adds the per-sample
+float32 products in batch order in float64. Every sample goes through the
+same BLAS call as it would in a batch of its own, so a sample's output and
+input gradient do not depend on the batch it is in.
 
 That is also why work may be split across CPUs without moving a bit. One
 helper, ``_split``, cuts a leading range into contiguous ranges, one per CPU
@@ -31,9 +32,10 @@ takes the first, a thread pool made at the first split the others, and each
 range writes only its own part of buffers allocated for the whole. A range
 is one of:
 - samples, for the convolutions' lowering (im2col and its GEMM, or the
-  one-row loop), the one-row weight and input gradient loop, the adjoint
-  (its GEMM and col2im) and the column path's weight-gradient products,
-  when a sample's GEMMs take ``_SPLIT_MIN_MACS`` multiply-adds or more;
+  one-row loop), the one-row weight-gradient loop, the adjoint (its GEMM
+  and col2im, or the one-row loop) and the column path's weight-gradient
+  products, when a sample's GEMMs take ``_SPLIT_MIN_MACS`` multiply-adds or
+  more;
 - samples (rows along the first axis), for power_expand, tanh, sigmoid and
   their backwards, and channel blocks, for training batchnorm's statistics,
   normalization and backward, when the input spans ``_SPLIT_MIN_BYTES`` or
@@ -57,13 +59,12 @@ at a time, so each product is a GEMM whose inner dimension is C or k*k, not
 C*k*k: the forward sums the tap rows of ``W_taps.T @ padded[n]`` at their
 strided offsets in (ky, kx) order, and the weight gradient and the adjoint
 multiply by the shifted gradient ``G[n]`` (``_shift_taps``), whose row per
-tap holds the gradient at that tap's offset; the lowering's backward builds
-each G once for both and writes the adjoint over an empty padded buffer,
-whose crop ``+ 0.0`` turns any -0.0 into the +0.0 that adding into zeros
-gives. Each of
-these loops holds one sample's k*k grid rows (and, in the adjoint, C rows
-of ``W_taps @ G[n]``) at a time. The sums run in another order than the
-column form's, so results differ from it by float32 rounding.
+tap holds the gradient at that tap's offset. Each of the two builds its own
+G, so conv2d's backward builds each sample's G twice; the adjoint adds the
+crop of ``W_taps @ G[n]`` into zeros, as the column form adds its taps.
+Each of these loops holds one sample's k*k grid rows (and, in the adjoint,
+C rows of ``W_taps @ G[n]``) at a time. The sums run in another order than
+the column form's, so results differ from it by float32 rounding.
 
 Batchnorm keeps float64 statistics per channel block: the mean, the
 variance and the backward run over blocks of channels (about
@@ -573,26 +574,22 @@ def _shift_taps(shifted: np.ndarray, g: np.ndarray, k: int, stride: int, h_out: 
 
 
 def _lower(x, w2, k, stride):
-    """y = w2 @ im2col(x, same-padded) and back(g, want_dx) for its gradients.
+    """y = w2 @ im2col(x, same-padded) and weight_grad(g) for its weight gradient.
 
     x: (N, C, H, W); w2: (Cout, C*k*k). Returns y as (N, Cout, h_out, w_out)
-    and back, which takes g shaped like y and returns the float64 (Cout,
-    C*k*k) weight gradient, the sum over samples of g3[n] @ cols[n].T adding
-    the float32 products in batch order onto float64 zeros, and, if
-    want_dx, the input gradient (N, C, H, W) as a new array (else None). The
-    whole batch's columns are built once, a sample range per thread
-    (_split), and back keeps them, not the padded input. It forms the
-    weight gradient's products a sample range per thread into one buffer
-    when a product takes at most _SPLIT_MAX_PRODUCT_BYTES, else one at a
-    time on the calling thread, and takes the input gradient from _adjoint.
+    and weight_grad, which takes g shaped like y and returns the float64
+    (Cout, C*k*k) weight gradient: the sum over samples of g3[n] @ cols[n].T,
+    adding the float32 products in batch order onto float64 zeros. The input
+    gradient is _adjoint's. The whole batch's columns are built once, a
+    sample range per thread (_split), and weight_grad keeps them, not the
+    padded input. It forms the products a sample range per thread into one
+    buffer when a product takes at most _SPLIT_MAX_PRODUCT_BYTES, else one
+    at a time on the calling thread.
 
     With one row in w2 no columns are built and each sample goes through its
     own BLAS calls: Z = W_taps.T @ padded[n] (k*k x Hp*Wp) gives y as the
-    sum of Z's tap rows at their offsets, and back forms padded[n] @ G[n].T
-    for the weight gradient, with G from _shift_taps, and from the same G
-    writes the input gradient's W_taps @ G[n] over the whole of an empty
-    padded buffer. Both loops run per sample range, and the weight gradient
-    adds its products after them.
+    sum of Z's tap rows at their offsets, and weight_grad forms padded[n] @
+    G[n].T, with G from _shift_taps, a sample range per thread.
     """
     n, c, h, w = x.shape
     h_out, pt, pb = _same_pads(h, k, stride)
@@ -611,9 +608,7 @@ def _lower(x, w2, k, stride):
         _split(n, w2.size * hw, _SPLIT_MIN_MACS, lower)
         cols = cols.reshape(n, rows, hw)
 
-        def back(g, want_dx):
-            g3 = g.reshape(n, cout, hw)
-            dw = np.zeros((cout, rows))
+        def sample_products(g3):
             macs = w2.size * hw
             if w2.nbytes <= _SPLIT_MAX_PRODUCT_BYTES and _ranges(n, macs, _SPLIT_MIN_MACS) > 1:
                 parts = np.empty((n, cout, rows), dtype=np.float32)
@@ -623,12 +618,9 @@ def _lower(x, w2, k, stride):
                         np.matmul(g3[i], cols[i].T, out=parts[i])
 
                 _split(n, macs, _SPLIT_MIN_MACS, products)
-            else:
-                buf = np.empty((cout, rows), dtype=np.float32)
-                parts = (np.matmul(a, b.T, out=buf) for a, b in zip(g3, cols))
-            for part in parts:
-                dw += part
-            return dw, _adjoint(g3, w2, k, stride, h, w) if want_dx else None
+                return parts
+            buf = np.empty((cout, rows), dtype=np.float32)
+            return (np.matmul(a, b.T, out=buf) for a, b in zip(g3, cols))
     else:
         grid = padded.shape[2] * padded.shape[3]
         w_taps = w2.reshape(c, k * k)
@@ -641,28 +633,25 @@ def _lower(x, w2, k, stride):
 
         _split(n, w2.size * grid, _SPLIT_MIN_MACS, lower_grid)
 
-        def back(g, want_dx):
-            g3 = g.reshape(n, 1, hw)
-            dpad = np.empty(padded.shape, dtype=np.float32) if want_dx else None
-            parts = np.empty((n, c, k * k), dtype=np.float32)
+        def sample_products(g3):
+            parts = np.empty((n, 1, rows), dtype=np.float32)
 
-            def grads(a, b):
+            def products(a, b):
                 shifted = np.empty((k * k, *padded.shape[2:]), dtype=np.float32)
                 for i in range(a, b):
                     gi = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, grid)
-                    if want_dx:
-                        np.matmul(w_taps, gi, out=dpad[i].reshape(c, grid))
-                    np.matmul(padded[i].reshape(c, grid), gi.T, out=parts[i])
+                    np.matmul(padded[i].reshape(c, grid), gi.T, out=parts[i].reshape(c, k * k))
 
-            _split(n, w2.size * grid, _SPLIT_MIN_MACS, grads)
-            dw = np.zeros((c, k * k))
-            for part in parts:
-                dw += part
-            # + 0.0 copies the crop and turns a -0.0 written over dpad into
-            # +0.0, as adding into zeros does.
-            return dw.reshape(1, rows), dpad[:, :, pt:pt + h, pl:pl + w] + 0.0 if want_dx else None
+            _split(n, w2.size * grid, _SPLIT_MIN_MACS, products)
+            return parts
 
-    return y.reshape(n, cout, h_out, w_out), back
+    def weight_grad(g):
+        dw = np.zeros((cout, rows))
+        for part in sample_products(g.reshape(n, cout, hw)):
+            dw += part
+        return dw
+
+    return y.reshape(n, cout, h_out, w_out), weight_grad
 
 
 def _adjoint(g3, w2, k, stride, h, w):
@@ -670,11 +659,13 @@ def _adjoint(g3, w2, k, stride, h, w):
 
     g3: (N, Cout, h_out*w_out); w2: (Cout, C*k*k); (h, w): the extent of
     the lowering's input, whose same padding gives (h_out, w_out). Returns
-    the (N, C, h, w) result as a new array. Each sample range (_split) forms
-    its columns' GEMM and adds each tap, clipped to the unpadded grid
-    (_col2im_add), into its own samples. With one row in w2 no columns are
-    built: W_taps (C x k*k) @ G[n] is formed on the padded grid, one sample
-    at a time, with G from _shift_taps, and its crop added into zeros.
+    the (N, C, h, w) result as a new array: the lowering's input gradient,
+    for every conv2d, and conv2d_transpose's forward. Each sample range
+    (_split) forms its columns' GEMM and adds each tap, clipped to the
+    unpadded grid (_col2im_add), into its own samples. With one row in w2
+    no columns are built: W_taps (C x k*k) @ G[n] is formed on the padded
+    grid, one sample at a time, with G from _shift_taps, and its crop added
+    into zeros, which turns any -0.0 of the product into +0.0.
     """
     n = len(g3)
     c = w2.shape[1] // (k * k)
@@ -733,16 +724,16 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     keeps H/stride (ceil), with the extra pad on the bottom/right.
     """
     k, w2 = _conv_operands("conv2d", x, kernels, bias, stride)
-    y, back = _lower(x.data, w2, k, stride)
+    y, weight_grad = _lower(x.data, w2, k, stride)
 
     def bwd(g):
+        _accumulate(kernels, weight_grad(g).astype(np.float32).reshape(kernels.shape))
+        _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
         # A leaf made under no_graph() (a batch input) has no gradient buffer:
         # nothing reads its gradient, so none is computed.
-        dw, dx = back(g, bool(x._parents) or x.grad is not None)
-        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
-        _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
-        if dx is not None:
-            _accumulate(x, dx, owned=True)
+        if x._parents or x.grad is not None:
+            g3 = g.reshape(*g.shape[:2], -1)
+            _accumulate(x, _adjoint(g3, w2, k, stride, *x.shape[2:]), owned=True)
 
     return Tensor(y + bias.data.reshape(1, -1, 1, 1), (x, kernels, bias), "conv2d", bwd)
 
@@ -759,10 +750,9 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) 
     y = _adjoint(x.data.reshape(n, cin, h * w), w2, k, stride, stride * h, stride * w)
 
     def bwd(g):
-        dx, back = _lower(g, w2, k, stride)
-        dw, _ = back(x.data, False)
-        del back  # frees the columns before the input gradient is accumulated
-        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
+        dx, weight_grad = _lower(g, w2, k, stride)
+        _accumulate(kernels, weight_grad(x.data).astype(np.float32).reshape(kernels.shape))
+        del weight_grad  # frees the columns before the input gradient is accumulated
         _accumulate(x, dx, owned=True)
         _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 

@@ -84,7 +84,8 @@ class TestRunValues:
     @pytest.mark.parametrize("key,value", [("batch_size", 0), ("batch_size", -2), ("epochs", -1),
                                            ("threshold", 1.5), ("threshold", 0.0), ("lr", -1),
                                            ("lr", "nan"), ("lr", "inf"), ("gamma", -1),
-                                           ("gamma", "nan"), ("gamma", "inf"), ("alpha", 1.5)])
+                                           ("gamma", "nan"), ("gamma", "inf"), ("alpha", 1.5),
+                                           ("seed", -1)])
     def test_train_rejects_before_writing(self, dataset, tmp_path, capsys, key, value, source):
         if source == "flag":
             given = (flag(key), value)
@@ -136,6 +137,12 @@ class TestSynthCommand:
 
     def test_bad_size_is_usage_error(self, tmp_path):
         assert run_cli("synth", "--count", 5, "--size", 33, "--out", tmp_path / "x") == 2
+
+    def test_negative_seed_is_usage_error_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run_cli("synth", "--count", 5, "--size", 32, "--seed", -1, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("usage error: seed must")
+        assert not out.exists()  # no images/, masks/ or index
 
 
 # config.txt of `train --index <index> --epochs 0` at every other default;

@@ -408,7 +408,7 @@ def run_in_slices(run, x0, k0, b0, g0, stride, size):
             "kernel": kernel.astype(np.float32)}
 
 
-class TestConv2dColumnBudget:
+class TestConv2dBatchSlices:
     """conv2d lowers its whole batch at once and keeps its columns for the
     weight gradient; the batch must give the bits of its samples lowered in
     slices, as a caller that splits a batch lowers them."""
@@ -420,7 +420,7 @@ class TestConv2dColumnBudget:
         (y * Tensor(g0[:, :, :y.shape[2], :y.shape[3]])).sum().backward()
         return {"y": y.data, "x": x.grad, "kernel": kernel.grad, "bias": bias.grad}
 
-    def check_chunking(self, cout, stride, chunk):
+    def check_slices(self, cout, stride, size):
         rng = np.random.default_rng(21)
         x0 = rng.standard_normal((3, 4, 11, 9)).astype(np.float32)
         k0 = rng.standard_normal((cout, 4, 3, 3)).astype(np.float32)
@@ -428,20 +428,20 @@ class TestConv2dColumnBudget:
         g0 = rng.standard_normal((3, cout, 11, 9)).astype(np.float32)
         g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
         whole = self.run(x0, k0, b0, g0, stride)
-        sliced = run_in_slices(self.run, x0, k0, b0, g0, stride, chunk)  # 1+1+1 or 2+1
+        sliced = run_in_slices(self.run, x0, k0, b0, g0, stride, size)  # 1+1+1 or 2+1
         for name, arr in sliced.items():
             assert np.array_equal(whole[name], arr), name
             assert whole[name].tobytes() == arr.tobytes(), name
 
-    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
-    def test_chunking_changes_no_bits(self, stride, chunk):
-        self.check_chunking(2, stride, chunk)
+    def test_slicing_changes_no_bits(self, stride, size):
+        self.check_slices(2, stride, size)
 
-    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
-    def test_one_output_channel_chunking_changes_no_bits(self, stride, chunk):
-        self.check_chunking(1, stride, chunk)
+    def test_one_output_channel_slicing_changes_no_bits(self, stride, size):
+        self.check_slices(1, stride, size)
 
     def test_weight_gradient_adds_samples_in_batch_order(self):
         # A float64 sum of a few float32 products is exact, so it hides the
@@ -544,12 +544,12 @@ def assert_within_fp32_bound(new, x0, k0, b0, g0, stride, names):
 class TestOneOutputChannelBackward:
     """With one output channel conv2d builds no im2col columns: it works on
     the padded grid through the k*k tap offsets, one sample at a time, on a
-    batch or (chunked) on one sample per call. Its sums run in another order
+    batch or (sliced) on one sample per call. Its sums run in another order
     than the column form's, so they are held to the column form within the
     float32 forward-error bound."""
 
     @staticmethod
-    def grads(monkeypatch, x0, k0, b0, g0, stride, chunked):
+    def grads(monkeypatch, x0, k0, b0, g0, stride, sliced):
         """The batch's results, and the samples of each shifted gradient built."""
         calls = []
         shift_taps = tensor_mod._shift_taps
@@ -559,30 +559,30 @@ class TestOneOutputChannelBackward:
             return shift_taps(shifted, g, *args)
 
         monkeypatch.setattr(tensor_mod, "_shift_taps", spy)
-        run = TestConv2dColumnBudget.run
-        if chunked:
+        run = TestConv2dBatchSlices.run
+        if sliced:
             return run_in_slices(run, x0, k0, b0, g0, stride, 1), calls
         return run(x0, k0, b0, g0, stride), calls
 
-    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("sliced", [False, True])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
-    def test_same_bits_as_the_column_form(self, monkeypatch, stride, chunked):
+    def test_same_bits_as_the_column_form(self, monkeypatch, stride, sliced):
         rng = np.random.default_rng(31)
         x0 = rng.standard_normal((3, 5, 11, 9)).astype(np.float32)
         k0 = rng.standard_normal((1, 5, 3, 3)).astype(np.float32)
         b0 = rng.standard_normal(1).astype(np.float32)
         g0 = rng.standard_normal((3, 1, 11, 9)).astype(np.float32)
         g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
-        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, stride, chunked)
-        # The column-free path ran: one shifted gradient per sample gives the
-        # weight gradient and the adjoint.
-        assert calls == [1] * 3
+        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, stride, sliced)
+        # The column-free path ran: each sample's shifted gradient is built
+        # twice, once for the weight gradient and once for the adjoint.
+        assert calls == [1] * 6
         assert_within_fp32_bound(new, x0, k0, b0, g0, stride, ("y", "x", "kernel"))
-        if not chunked:
+        if not sliced:
             assert new["bias"].tobytes() == column_form(x0, k0, b0, g0, stride)["bias"].tobytes()
 
-    @pytest.mark.parametrize("chunked", [False, True])
-    def test_taps_add_in_column_order(self, monkeypatch, chunked):
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_taps_add_in_column_order(self, monkeypatch, sliced):
         # The first two taps are +-1e12 and the gradient is constant along
         # rows, so off the edges they cancel exactly in the column form and
         # leave the small taps' sum. The grid path adds the taps in another
@@ -594,8 +594,8 @@ class TestOneOutputChannelBackward:
         k0[0, :, 0, 1] = np.float32(-1e12)
         b0 = np.zeros(1, np.float32)
         g0 = np.repeat(rng.standard_normal((2, 1, 8, 1)).astype(np.float32), 8, axis=3)
-        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, 1, chunked)
-        assert calls == [1] * 2
+        new, calls = self.grads(monkeypatch, x0, k0, b0, g0, 1, sliced)
+        assert calls == [1] * 4
         ref = column_form(x0, k0, b0, g0, 1)
         assert np.median(np.abs(ref["x"])) < 1e3  # the big taps cancelled off the edges
         assert_within_fp32_bound(new, x0, k0, b0, g0, 1, ("x",))
@@ -605,10 +605,9 @@ class TestOneOutputChannelBackward:
         """conv2d's input and weight gradients with one output channel, and
         their references: the adjoint added into zeros and the lowering's own
         weight gradient."""
-        # The backward writes W_taps @ G straight over an empty dpad; the input
-        # gradient must be that of adding the adjoint into zeros, which turns
-        # -0.0 into +0.0. x is a leaf whose gradient buffer holds -0.0, which
-        # adding conv2d's dx into leaves with dx's bytes.
+        # The input gradient must be that of adding the adjoint into zeros,
+        # which turns -0.0 into +0.0. x is a leaf whose gradient buffer holds
+        # -0.0, which adding conv2d's dx into leaves with dx's bytes.
         rng = np.random.default_rng(36)
         x0 = rng.standard_normal((3, 5, 11, 9)).astype(np.float32)
         k0 = rng.standard_normal((1, 5, 3, 3)).astype(np.float32)
@@ -625,8 +624,8 @@ class TestOneOutputChannelBackward:
 
         n, c, hh, ww = x0.shape
         w2 = k0.reshape(1, c * 9)
-        _, back = tensor_mod._lower(x0, w2, 3, stride)
-        dw, _ = back(g, False)
+        _, weight_grad = tensor_mod._lower(x0, w2, 3, stride)
+        dw = weight_grad(g)
         want_dx = tensor_mod._adjoint(g.reshape(n, 1, -1), w2, 3, stride, hh, ww)
         return x.grad, kernel.grad, want_dx, dw.astype(np.float32).reshape(k0.shape)
 
@@ -639,8 +638,8 @@ class TestOneOutputChannelBackward:
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
     def test_dx_turns_the_negative_zeros_of_a_matmul_positive(self, monkeypatch, stride):
         # Negative control for the test above: OpenBLAS writes these zeros
-        # as +0.0, so there a plain copy of the padded buffer would pass for
-        # + 0.0. Here every zero that matmul writes is -0.0, and adding into
+        # as +0.0, so there a copy of W_taps @ G, not added into zeros, would
+        # pass. Here every zero that matmul writes is -0.0, and adding into
         # zeros still gives +0.0.
         monkeypatch.setattr(tensor_mod, "np", NegativeZeroMatmul())
         dx, _, want_dx, _ = self.grads_and_references(stride)
@@ -678,6 +677,26 @@ class TestOneOutputChannelBackward:
                 tracemalloc.stop()
         assert max(peaks) < cols_bytes, (peaks, cols_bytes)
         assert x.grad.any() and kernel.grad.any()
+
+    def test_backward_peak_holds_one_input_gradient(self, monkeypatch):
+        # The final layer's shape at 32 px, on an interior input, one range:
+        # the adjoint adds each sample's crop into the input gradient, so the
+        # backward holds that gradient and one sample's scratch. A padded
+        # buffer of the whole batch plus its crop would hold about 2.2x.
+        monkeypatch.setattr(tensor_mod, "_width", 1)
+        rng = np.random.default_rng(39)
+        x = Tensor(rng.standard_normal((4, 24, 32, 32)).astype(np.float32))
+        h = x * 1.0
+        kernel = Tensor(rng.standard_normal((1, 24, 3, 3)).astype(np.float32))
+        y = conv2d(h, kernel, zero_bias(1), stride=1)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * h.grad.nbytes, (peak, h.grad.nbytes)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
@@ -731,7 +750,7 @@ class TestConvTranspose:
         # Both ops run the same adjoint on the same operands, so the bits
         # match; with one conv output channel it runs on the padded grid, and
         # each sample's shifted gradient is built once for conv2d's weight
-        # gradient and its adjoint, and once for conv2d_transpose's adjoint.
+        # gradient, once for its adjoint and once for conv2d_transpose's.
         taps = []
         shift_taps = tensor_mod._shift_taps
 
@@ -750,7 +769,7 @@ class TestConvTranspose:
                 (out * Tensor(g)).sum().backward()
                 pulled_back = conv2d_transpose(Tensor(g), Tensor(w), zero_bias(3), stride=stride)
                 assert pulled_back.data.tobytes() == x.grad.tobytes(), (cout, stride, k)
-                assert len(taps) == (0 if cout > 1 else 2 * len(g)) and len(set(taps)) <= 1
+                assert len(taps) == (0 if cout > 1 else 3 * len(g)) and len(set(taps)) <= 1
                 taps.clear()
 
     @pytest.mark.parametrize("cin", [3, 1])
@@ -796,7 +815,7 @@ class TestConvTranspose:
             assert rel_err(t.grad, numeric.data) < 1e-3, name
 
 
-class TestConvTransposeColumnBudget:
+class TestConvTransposeBatchSlices:
     """conv2d_transpose runs its forward on the adjoint and its backward on
     the lowering, each over the whole batch at once; the batch must give the
     bits of its samples run in slices."""
@@ -809,9 +828,9 @@ class TestConvTransposeColumnBudget:
         return {"y": y.data, "x": x.grad, "kernel": kernel.grad, "bias": bias.grad}
 
     @pytest.mark.parametrize("cin", [3, 1])
-    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_chunking_changes_no_bits(self, stride, chunk, cin):
+    def test_slicing_changes_no_bits(self, stride, size, cin):
         rng = np.random.default_rng(41)
         x0 = rng.standard_normal((3, cin, 5, 6)).astype(np.float32)
         k0 = rng.standard_normal((cin, 4, 3, 3)).astype(np.float32)
@@ -819,11 +838,11 @@ class TestConvTransposeColumnBudget:
         g0 = rng.standard_normal((3, 4, 5 * stride, 6 * stride)).astype(np.float32)
         g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
         whole = self.run(x0, k0, b0, g0, stride)
-        sliced = run_in_slices(self.run, x0, k0, b0, g0, stride, chunk)
+        sliced = run_in_slices(self.run, x0, k0, b0, g0, stride, size)
         for name, arr in sliced.items():
             assert whole[name].tobytes() == arr.tobytes(), name
 
-    def test_backward_builds_each_chunk_once(self, monkeypatch):
+    def test_backward_lowers_each_sample_once(self, monkeypatch):
         # Decoder block 5 at 224 px, Q=3: 16*3 channels at 112 px up to 8 at
         # 224 px. The backward lowers the batch of 8 once, in three sample
         # ranges, and the weight gradient reuses those columns instead of
