@@ -254,7 +254,9 @@ def load_checkpoint(path, config: ModelConfig) -> OSegNetModel:
     and without gradient buffers: its parameters get them from
     ``zero_grad()`` or ``backward()``, as training needs. Shape conflicts
     (including a q_order disagreement, which changes operational kernel
-    widths) are reported against the first offending tensor in model order.
+    widths) are reported against the first offending tensor in model order;
+    a header q_order that differs from the config's while every shape
+    matches is reported as such.
     """
     stored = {}
     with open(path, "rb") as fh:
@@ -298,6 +300,9 @@ def load_checkpoint(path, config: ModelConfig) -> OSegNetModel:
     extra = [n for n in stored if n not in dict(expected)]
     if extra:
         raise CheckpointError(f"checkpoint contains unexpected tensor {extra[0]}")
+    # After the shape checks, so a real Q mismatch names its first kernel.
+    if q_order != config.q_order:
+        raise CheckpointError(f"checkpoint header has q_order {q_order}, config has {config.q_order}")
 
     for name, arr in expected:  # the model's own arrays, so these copies load it
         arr[...] = stored[name]

@@ -9,8 +9,9 @@ pair of float32 scratch vectors: a block's moments and temporaries stay in
 cache, and a step allocates no parameter-sized arrays. The parameters, laid
 end to end, are cut into BLOCK-element blocks, and ranges of these blocks run
 side by side (``tensor._split``, above its bytes floor), each range through
-a scratch pair of its own that is kept for the next step. Each element sees
-the same float32 operations in the same order as the textbook expression
+a scratch pair of its own, kept under the range's first block for the same
+range of the next step. Each element sees the same float32 operations in the
+same order as the textbook expression
 ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the bits do not depend on
 the block size or the number of ranges. The non-finite check before the
 update runs through the same ranges and scratch, and no element is updated
@@ -49,8 +50,10 @@ class Adam:
         # BLOCK-element blocks a step's ranges index.
         self._starts = np.cumsum([0] + [t.size for t in self.params]).tolist()
         self._scratch_size = min(BLOCK, max((t.size for t in self.params), default=1))
-        # Scratch pairs, one per range running at once, kept for the next step.
-        self._scratch = []
+        # Scratch pairs keyed by the first block of the range that uses them:
+        # a step's ranges are the same on every step, so each range reuses its
+        # own pair, however the ranges of an earlier step overlapped in time.
+        self._scratch = {}
 
     def _pieces(self, first: int, last: int):
         """(i, lo, hi) for each run of parameter i's elements, at most BLOCK
@@ -65,14 +68,10 @@ class Adam:
         """Run fn(scratch, first, last) for ranges [first, last) of the blocks,
         each range with a (2, _scratch_size) float32 scratch of its own."""
         def run(first, last):
-            try:
-                scratch = self._scratch.pop()
-            except IndexError:
-                scratch = np.empty((2, self._scratch_size), dtype=np.float32)
-            try:
-                fn(scratch, first, last)
-            finally:
-                self._scratch.append(scratch)
+            scratch = self._scratch.get(first)
+            if scratch is None:
+                scratch = self._scratch[first] = np.empty((2, self._scratch_size), dtype=np.float32)
+            fn(scratch, first, last)
 
         total = self._starts[-1]
         tensor._split(-(-total // BLOCK), 4 * total, tensor._SPLIT_MIN_BYTES, run)

@@ -10,20 +10,20 @@ same-padded and always add a per-channel bias, the one form the network
 uses. Reductions accumulate in float64 and round the result back to float32.
 
 Both convolutions run on one lowering and its adjoint, and the two kernels
-own the same-padding geometry: ``_lower`` pads its input, computes
-``w2 @ im2col(padded)`` and returns with it a function for the weight
-gradient; ``_adjoint`` adds ``col2im(w2.T @ g)`` into a zeroed buffer of
-the unpadded extent, each tap clipped to that grid, and is the lowering's
-one input gradient. conv2d is the lowering forward, whose backward takes
-the weight gradient from the lowering and the input gradient from the
-adjoint; conv2d_transpose is the adjoint forward, whose backward is the
-lowering and its weight gradient. The two ops only check their operands
-(one check for both), add the bias and wire the graph. Each kernel builds
-the columns of its whole batch at once, and the lowering keeps them, not
-the padded input, for the weight gradient, which adds the per-sample
-float32 products in batch order in float64. Every sample goes through the
-same BLAS call as it would in a batch of its own, so a sample's output and
-input gradient do not depend on the batch it is in.
+own the same-padding geometry: ``_lower`` computes ``w2 @ im2col(padded)``,
+each sample range padding the samples it reads, and returns with it a
+function for the weight gradient; ``_adjoint`` adds ``col2im(w2.T @ g)``
+into a zeroed buffer of the unpadded extent, each tap clipped to that grid,
+and is the lowering's one input gradient. conv2d is the lowering forward,
+whose backward takes the weight gradient from the lowering and the input
+gradient from the adjoint; conv2d_transpose is the adjoint forward, whose
+backward is the lowering and its weight gradient. The two ops only check
+their operands (one check for both), add the bias and wire the graph. Each
+kernel builds the columns of its whole batch at once, and the lowering
+keeps them for the weight gradient, which adds the per-sample float32
+products in batch order in float64. Every sample goes through the same BLAS
+call as it would in a batch of its own, so a sample's output and input
+gradient do not depend on the batch it is in.
 
 That is also why work may be split across CPUs without moving a bit. One
 helper, ``_split``, cuts a leading range into contiguous ranges, one per CPU
@@ -44,25 +44,26 @@ is one of:
 Anything else, and a batch of one, runs inline. Every sample, channel and
 element goes through the numpy calls it would go through alone, so the bits
 do not depend on the number of ranges. The column path's weight-gradient
-products run side by side only where one sample's product takes at most
-``_SPLIT_MAX_PRODUCT_BYTES``: they go into one buffer of the batch's and
-are then added in batch order in float64, as the serial path adds each one
-as it is formed. Larger products stay serial, because their buffer would
-raise peak memory. glibc gets one malloc arena (below), so the pool's
-threads reuse the main heap, and a forked child makes a fresh pool at its
-first split, since the parent's threads do not exist there.
+products run side by side exactly when the batch splits: they go into one
+buffer of the batch's and are then added in batch order in float64, as the
+one-at-a-time path of an unsplit batch adds each one as it is formed. glibc
+gets one malloc arena (below), so the pool's threads reuse the main heap,
+and a forked child makes a fresh pool at its first split, since the
+parent's threads do not exist there.
 
 A lowering whose ``w2`` has one row (conv2d with one output channel, as the
 final layer's, or conv2d_transpose with one input channel) builds no
 columns. It works on the padded grid through the k*k tap offsets, one sample
-at a time, so each product is a GEMM whose inner dimension is C or k*k, not
-C*k*k: the forward sums the tap rows of ``W_taps.T @ padded[n]`` at their
-strided offsets in (ky, kx) order, and the weight gradient and the adjoint
-multiply by the shifted gradient ``G[n]`` (``_shift_taps``), whose row per
-tap holds the gradient at that tap's offset. Each of the two builds its own
-G, so conv2d's backward builds each sample's G twice; the adjoint adds the
-crop of ``W_taps @ G[n]`` into zeros, as the column form adds its taps.
-Each of these loops holds one sample's k*k grid rows (and, in the adjoint,
+at a time, padding each sample as it uses it, so each product is a GEMM
+whose inner dimension is C or k*k, not C*k*k: the forward sums the tap rows
+of ``W_taps.T @ padded[n]`` at their strided offsets in (ky, kx) order, and
+the weight gradient and the adjoint multiply by the shifted gradient
+``G[n]`` (``_shift_taps``), whose row per tap holds the gradient at that
+tap's offset. Each of the two builds its own G, so conv2d's backward builds
+each sample's G twice, in a buffer each range zeroes once, since every
+sample writes the same tap windows; the adjoint adds the crop of ``W_taps @
+G[n]`` into zeros, as the column form adds its taps. Each of these loops
+holds one sample's k*k grid rows (and its padded input or, in the adjoint,
 C rows of ``W_taps @ G[n]``) at a time. The sums run in another order than
 the column form's, so results differ from it by float32 rounding.
 
@@ -165,11 +166,6 @@ _SPLIT_MIN_MACS = 1 << 23
 # 0.38 MiB or less no op gained over 2% and tanh lost up to 7x. Every 64 px
 # input is 0.5 MiB or less. Adam's 6 MiB of parameters gained 17%.
 _SPLIT_MIN_BYTES = 1 << 20
-
-# Bytes one sample's float32 weight-gradient product may take for the column
-# path to form the products side by side, in a buffer of the whole batch's.
-# Decoder block 1 (3.4 MiB) and encoder stage 5 (1.1 MiB) stay serial.
-_SPLIT_MAX_PRODUCT_BYTES = 1 << 20
 
 
 def _ranges(n: int, work: int, floor: int) -> int:
@@ -562,10 +558,11 @@ def _sum_taps(y: np.ndarray, z: np.ndarray, k: int, stride: int, h_out: int, w_o
 
 def _shift_taps(shifted: np.ndarray, g: np.ndarray, k: int, stride: int, h_out: int,
                 w_out: int) -> np.ndarray:
-    """Fill one sample's shifted (k*k, Hp, Wp) with G: row t holds g (1,
-    h_out*w_out) at tap t's strided offset and zeros elsewhere, so that
-    z @ G.T and W @ G are _sum_taps' weight and input adjoints."""
-    shifted.fill(0.0)
+    """Write one sample's G into shifted (k*k, Hp, Wp): row t takes g (1,
+    h_out*w_out) at tap t's strided offset, so that z @ G.T and W @ G are
+    _sum_taps' weight and input adjoints. Only those windows are written:
+    shifted must start as zeros, and every sample writes the same windows,
+    so one zeroed buffer serves all the samples of a range."""
     g = g.reshape(h_out, w_out)
     for t in range(k * k):
         ky, kx = divmod(t, k)
@@ -581,36 +578,37 @@ def _lower(x, w2, k, stride):
     (Cout, C*k*k) weight gradient: the sum over samples of g3[n] @ cols[n].T,
     adding the float32 products in batch order onto float64 zeros. The input
     gradient is _adjoint's. The whole batch's columns are built once, a
-    sample range per thread (_split), and weight_grad keeps them, not the
-    padded input. It forms the products a sample range per thread into one
-    buffer when a product takes at most _SPLIT_MAX_PRODUCT_BYTES, else one
-    at a time on the calling thread.
+    sample range per thread (_split), each range padding its own samples
+    into them, and weight_grad keeps the columns. When the batch splits, it
+    forms the products side by side into one buffer of the batch's, a
+    sample range per thread, else one at a time on the calling thread.
 
     With one row in w2 no columns are built and each sample goes through its
-    own BLAS calls: Z = W_taps.T @ padded[n] (k*k x Hp*Wp) gives y as the
-    sum of Z's tap rows at their offsets, and weight_grad forms padded[n] @
-    G[n].T, with G from _shift_taps, a sample range per thread.
+    own BLAS calls on its padded grid, padded as it is used: Z = W_taps.T @
+    padded[n] (k*k x Hp*Wp) gives y as the sum of Z's tap rows at their
+    offsets, and weight_grad forms padded[n] @ G[n].T, with G from
+    _shift_taps, a sample range per thread. weight_grad holds only x.
     """
     n, c, h, w = x.shape
     h_out, pt, pb = _same_pads(h, k, stride)
     w_out, pl, pr = _same_pads(w, k, stride)
-    padded = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    pads = ((0, 0), (0, 0), (pt, pb), (pl, pr))
     cout, rows = w2.shape
     hw = h_out * w_out
     y = np.empty((n, cout, hw), dtype=np.float32)
     if cout > 1:
         cols = np.empty((n, c, k, k, h_out, w_out), dtype=np.float32)
+        macs = w2.size * hw
 
         def lower(a, b):
-            _im2col(padded[a:b], k, stride, h_out, w_out, cols[a:b])
+            _im2col(np.pad(x[a:b], pads), k, stride, h_out, w_out, cols[a:b])
             np.matmul(w2, cols[a:b].reshape(b - a, rows, hw), out=y[a:b])
 
-        _split(n, w2.size * hw, _SPLIT_MIN_MACS, lower)
+        _split(n, macs, _SPLIT_MIN_MACS, lower)
         cols = cols.reshape(n, rows, hw)
 
         def sample_products(g3):
-            macs = w2.size * hw
-            if w2.nbytes <= _SPLIT_MAX_PRODUCT_BYTES and _ranges(n, macs, _SPLIT_MIN_MACS) > 1:
+            if _ranges(n, macs, _SPLIT_MIN_MACS) > 1:
                 parts = np.empty((n, cout, rows), dtype=np.float32)
 
                 def products(a, b):
@@ -622,13 +620,14 @@ def _lower(x, w2, k, stride):
             buf = np.empty((cout, rows), dtype=np.float32)
             return (np.matmul(a, b.T, out=buf) for a, b in zip(g3, cols))
     else:
-        grid = padded.shape[2] * padded.shape[3]
+        hp, wp = h + pt + pb, w + pl + pr
+        grid = hp * wp
         w_taps = w2.reshape(c, k * k)
 
         def lower_grid(a, b):
-            z = np.empty((k * k, *padded.shape[2:]), dtype=np.float32)
+            z = np.empty((k * k, hp, wp), dtype=np.float32)
             for i in range(a, b):
-                np.matmul(w_taps.T, padded[i].reshape(c, grid), out=z.reshape(k * k, grid))
+                np.matmul(w_taps.T, np.pad(x[i], pads[1:]).reshape(c, grid), out=z.reshape(k * k, grid))
                 _sum_taps(y[i].reshape(h_out, w_out), z, k, stride, h_out, w_out)
 
         _split(n, w2.size * grid, _SPLIT_MIN_MACS, lower_grid)
@@ -637,10 +636,10 @@ def _lower(x, w2, k, stride):
             parts = np.empty((n, 1, rows), dtype=np.float32)
 
             def products(a, b):
-                shifted = np.empty((k * k, *padded.shape[2:]), dtype=np.float32)
+                shifted = np.zeros((k * k, hp, wp), dtype=np.float32)
                 for i in range(a, b):
                     gi = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, grid)
-                    np.matmul(padded[i].reshape(c, grid), gi.T, out=parts[i].reshape(c, k * k))
+                    np.matmul(np.pad(x[i], pads[1:]).reshape(c, grid), gi.T, out=parts[i].reshape(c, k * k))
 
             _split(n, w2.size * grid, _SPLIT_MIN_MACS, products)
             return parts
@@ -684,7 +683,7 @@ def _adjoint(g3, w2, k, stride, h, w):
         macs = w2.size * hp * wp
 
         def add(a, b):
-            shifted = np.empty((k * k, hp, wp), dtype=np.float32)
+            shifted = np.zeros((k * k, hp, wp), dtype=np.float32)
             prod = np.empty((c, hp, wp), dtype=np.float32)
             for i in range(a, b):
                 g = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, hp * wp)

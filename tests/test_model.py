@@ -307,6 +307,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=r"shape mismatch for decoder\.block1\.kernel"):
             load_checkpoint(path, ModelConfig(**{**TINY, "q_order": 3}))
 
+    def test_header_q_order_must_match_the_config(self, tmp_path):
+        # Q=2 tensors under a header that says Q=5: every shape matches the
+        # Q=2 config, so only the header can tell.
+        model, cfg = tiny_model()
+        path = tmp_path / "q5.ckpt"
+        write_raw_checkpoint(path, 5, model_entries(model))
+        with pytest.raises(CheckpointError, match="q_order 5, config has 2"):
+            load_checkpoint(path, cfg)
+
     def test_missing_tensor_diagnostic(self, tmp_path):
         model, cfg = tiny_model()
         entries = model_entries(model)

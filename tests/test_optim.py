@@ -1,11 +1,13 @@
 """Optimizer tests: Adam update rule against a hand-stepped recurrence."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from osegnet import optim as optim_mod
+from osegnet import tensor as tensor_mod
 from osegnet.cli import RunConfig
 from osegnet.optim import BETA1, BETA2, EPS, Adam
 from osegnet.tensor import Tensor
@@ -190,6 +192,46 @@ class TestBlockedAdam:
         opt = Adam([("x", x)], lr=1e-3)
         x.grad[...] = 0.5
         opt.step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * optim_mod.BLOCK, peak
+
+    def test_each_range_keeps_its_scratch_however_the_first_step_ran(self, monkeypatch):
+        # The first step's two ranges run one after the other, as when the
+        # host delays the pool thread until the caller's range is done; the
+        # second step's hold their scratch at once. Each range must still
+        # find a pair of its own, so the second step allocates none.
+        monkeypatch.setattr(tensor_mod, "_width", 2)
+        split = tensor_mod._split
+        split(2, 1, 0, lambda a, b: None)  # make the pool outside the measurement
+
+        def one_after_another(n, work, floor, fn):
+            width = tensor_mod._ranges(n, work, floor)
+            bounds = [i * n // width for i in range(width + 1)]
+            for a, b in zip(bounds, bounds[1:]):
+                fn(a, b)
+
+        x = Tensor(np.random.default_rng(45).standard_normal(1 << 20).astype(np.float32))
+        opt = Adam([("x", x)], lr=1e-3)
+        x.grad[...] = 0.5
+        monkeypatch.setattr(tensor_mod, "_split", one_after_another)
+        opt.step()
+        monkeypatch.setattr(tensor_mod, "_split", split)
+        # Each range reaches its pieces only once it holds its scratch, and
+        # waits there for the other.
+        barrier = threading.Barrier(2, timeout=30)
+        pieces = opt._pieces
+
+        def meet(first, last):
+            barrier.wait()
+            return pieces(first, last)
+
+        opt._pieces = meet
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -489,6 +489,19 @@ class TestConv2dBatchSlices:
         y.sum().backward()
         assert x.grad.any() and kernel.grad.any()
 
+    def test_one_row_forward_holds_only_its_output(self):
+        # The final layer's shape at 64 px, Q=3: the one-row path pads each
+        # sample as it uses it, so nothing the size of the input outlives
+        # the forward; a padded batch kept for the weight gradient would.
+        rng = np.random.default_rng(24)
+        x = power_expand(Tensor(rng.standard_normal((4, 8, 64, 64)).astype(np.float32)), 3)
+        kernel = Tensor(rng.standard_normal((1, 24, 3, 3)).astype(np.float32))
+        held, y = self.held_bytes(x, kernel)
+        out_bytes = y.data.nbytes
+        assert held <= out_bytes + (16 << 10), (held, out_bytes)
+        y.sum().backward()
+        assert kernel.grad.any()
+
 
 def column_form(x0, k0, b0, g0, stride, dtype=np.float32):
     """Reference for the one-output-channel conv2d: the column form it
@@ -855,13 +868,13 @@ class TestConvTransposeBatchSlices:
         ranges = []
         im2col = tensor_mod._im2col
 
-        def spy(padded, *args):
-            whole = padded
+        def spy(padded, k, stride, h_out, w_out, cols):
+            whole = cols  # a range's view of the batch's column buffer
             while whole.base is not None:
                 whole = whole.base
-            start = (padded.ctypes.data - whole.ctypes.data) // padded.strides[0]
-            ranges.append(range(start, start + len(padded)))
-            return im2col(padded, *args)
+            start = (cols.ctypes.data - whole.ctypes.data) // cols.strides[0]
+            ranges.append(range(start, start + len(cols)))
+            return im2col(padded, k, stride, h_out, w_out, cols)
 
         monkeypatch.setattr(tensor_mod, "_im2col", spy)
         y._backward_fn(np.ones(y.shape, dtype=np.float32))
@@ -1031,29 +1044,36 @@ class TestSampleRanges:
             self.assert_same_bytes_at_every_width(monkeypatch, run)
 
     @pytest.mark.parametrize("op", [conv2d, conv2d_transpose], ids=["conv2d", "transpose"])
-    @pytest.mark.parametrize("cap", [0, 1 << 20], ids=["one-at-a-time", "side-by-side"])
-    def test_weight_gradient_bits_do_not_depend_on_the_product_cap(self, monkeypatch, op, cap):
-        # With the products' cap at 0 the column path forms them one at a
-        # time while the lowering and the adjoint still split; with it above
-        # these products they are formed side by side.
-        monkeypatch.setattr(tensor_mod, "_SPLIT_MAX_PRODUCT_BYTES", cap)
-        ranges = []
+    def test_weight_gradient_products_split_exactly_when_the_batch_does(self, monkeypatch, op):
+        # At width 1 the column path forms the products one at a time; at
+        # widths 2 and 3 side by side, in as many ranges as the lowering.
+        ranges = {}
         split = tensor_mod._split
 
         def record(n, work, floor, fn):
-            ranges.append((fn.__name__, tensor_mod._ranges(n, work, floor)))
+            ranges[fn.__name__] = tensor_mod._ranges(n, work, floor)
             split(n, work, floor, fn)
 
         monkeypatch.setattr(tensor_mod, "_split", record)
-        rng = np.random.default_rng([50, cap])
+        rng = np.random.default_rng([50, 1 << 20])
         x0 = rng.standard_normal((5, 4, 7, 6)).astype(np.float32)
         k0 = rng.standard_normal((3, 4, 3, 3) if op is conv2d else (4, 3, 3, 3)).astype(np.float32)
         b0 = rng.standard_normal(3).astype(np.float32)
         g0 = rng.standard_normal((5, 3, 14, 12)).astype(np.float32)
         x0[0] *= np.float32(1e12)  # sample 2 cancels sample 0, as above
         x0[2], g0[2] = -x0[0], g0[0]
-        self.assert_same_bytes_at_every_width(monkeypatch, lambda: self.run(op, x0, k0, b0, g0, 2))
-        assert (("products", 3) in ranges) == bool(cap)
+        seen = []
+
+        def run():
+            ranges.clear()
+            result = self.run(op, x0, k0, b0, g0, 2)
+            seen.append(dict(ranges))
+            return result
+
+        self.assert_same_bytes_at_every_width(monkeypatch, run)
+        assert "products" not in seen[0] and seen[0]["lower"] == 1
+        for width, names in zip((2, 3), seen[1:]):
+            assert names["products"] == names["lower"] == width, names
 
     def test_per_range_partial_sums_of_the_weight_gradient_round_otherwise(self, monkeypatch):
         # Negative control for the tests above: adding each range's products
