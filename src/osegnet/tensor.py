@@ -10,20 +10,22 @@ same-padded and always add a per-channel bias, the one form the network
 uses. Reductions accumulate in float64 and round the result back to float32.
 
 Both convolutions run on one lowering and its adjoint, and the two kernels
-own the same-padding geometry: ``_lower`` computes ``w2 @ im2col(padded)``,
-each sample range padding the samples it reads, and returns with it a
-function for the weight gradient; ``_adjoint`` adds ``col2im(w2.T @ g)``
-into a zeroed buffer of the unpadded extent, each tap clipped to that grid,
-and is the lowering's one input gradient. conv2d is the lowering forward,
-whose backward takes the weight gradient from the lowering and the input
-gradient from the adjoint; conv2d_transpose is the adjoint forward, whose
-backward is the lowering and its weight gradient. The two ops only check
-their operands (one check for both), add the bias and wire the graph. Each
-kernel builds the columns of its whole batch at once, and the lowering
-keeps them for the weight gradient, which adds the per-sample float32
-products in batch order in float64. Every sample goes through the same BLAS
-call as it would in a batch of its own, so a sample's output and input
-gradient do not depend on the batch it is in.
+own the same-padding geometry: ``_lower`` computes ``w2 @ im2col(x)``, the
+weight-gradient products, or both, each sample range building its samples'
+columns once from the unpadded input, each tap clipped to its grid;
+``_adjoint`` adds ``col2im(w2.T @ g)`` into a zeroed buffer of the unpadded
+extent, each tap clipped to that grid, and is the lowering's one input
+gradient. conv2d is the lowering forward, whose backward lowers its input
+again for the weight gradient and takes the input gradient from the
+adjoint; conv2d_transpose is the adjoint forward, whose backward takes its
+input gradient and its weight gradient from one lowering. The two ops only
+check their operands (one check for both), add the bias and wire the graph.
+No columns outlive the call that built them: the graph holds the
+convolution's input, which the backward lowers again, and the weight
+gradient adds the per-sample float32 products in batch order in float64.
+Every sample goes through the same BLAS call as it would in a batch of its
+own, so a sample's output and input gradient do not depend on the batch it
+is in.
 
 That is also why work may be split across CPUs without moving a bit. One
 helper, ``_split``, cuts a leading range into contiguous ranges, one per CPU
@@ -31,11 +33,10 @@ the process may run on and never more ranges than units: the calling thread
 takes the first, a thread pool made at the first split the others, and each
 range writes only its own part of buffers allocated for the whole. A range
 is one of:
-- samples, for the convolutions' lowering (im2col and its GEMM, or the
-  one-row loop), the one-row weight-gradient loop, the adjoint (its GEMM
-  and col2im, or the one-row loop) and the column path's weight-gradient
-  products, when a sample's GEMMs take ``_SPLIT_MIN_MACS`` multiply-adds or
-  more;
+- samples, for the convolutions' lowering (im2col and the GEMMs on its
+  columns, or the one-row loop) and the adjoint (its GEMM and col2im, or
+  the one-row loop), when a sample's GEMMs take ``_SPLIT_MIN_MACS``
+  multiply-adds or more;
 - samples (rows along the first axis), for power_expand, tanh, sigmoid and
   their backwards, and channel blocks, for training batchnorm's statistics,
   normalization and backward, when the input spans ``_SPLIT_MIN_BYTES`` or
@@ -43,42 +44,45 @@ is one of:
 - blocks of Adam's parameters (``optim``), above the same bytes floor.
 Anything else, and a batch of one, runs inline. Every sample, channel and
 element goes through the numpy calls it would go through alone, so the bits
-do not depend on the number of ranges. The column path's weight-gradient
-products run side by side exactly when the batch splits: they go into one
-buffer of the batch's and are then added in batch order in float64, as the
-one-at-a-time path of an unsplit batch adds each one as it is formed. glibc
-gets one malloc arena (below), so the pool's threads reuse the main heap,
-and a forked child makes a fresh pool at its first split, since the
-parent's threads do not exist there.
+do not depend on the number of ranges. The weight-gradient products run
+side by side exactly when the batch splits: they go into one buffer of the
+batch's and are then added in batch order in float64, as an unsplit batch
+adds each one as it is formed. glibc gets one malloc arena (below), so the
+pool's threads reuse the main heap, and a forked child makes a fresh pool
+at its first split, since the parent's threads do not exist there.
 
 A lowering whose ``w2`` has one row (conv2d with one output channel, as the
 final layer's, or conv2d_transpose with one input channel) builds no
 columns. It works on the padded grid through the k*k tap offsets, one sample
-at a time, padding each sample as it uses it, so each product is a GEMM
-whose inner dimension is C or k*k, not C*k*k: the forward sums the tap rows
-of ``W_taps.T @ padded[n]`` at their strided offsets in (ky, kx) order, and
-the weight gradient and the adjoint multiply by the shifted gradient
-``G[n]`` (``_shift_taps``), whose row per tap holds the gradient at that
-tap's offset. Each of the two builds its own G, so conv2d's backward builds
-each sample's G twice, in a buffer each range zeroes once, since every
-sample writes the same tap windows; the adjoint adds the crop of ``W_taps @
-G[n]`` into zeros, as the column form adds its taps. Each of these loops
-holds one sample's k*k grid rows (and its padded input or, in the adjoint,
-C rows of ``W_taps @ G[n]``) at a time. The sums run in another order than
-the column form's, so results differ from it by float32 rounding.
+at a time, copying each sample into a padded buffer per range whose border
+it zeroes once, so each product is a GEMM whose inner dimension is C or
+k*k, not C*k*k: the forward sums the tap rows of ``W_taps.T @ padded[n]``
+at their strided offsets in (ky, kx) order, and the weight gradient and the
+adjoint multiply by the shifted gradient ``G[n]`` (``_shift_taps``), whose
+row per tap holds the gradient at that tap's offset. Each of the two builds
+its own G, so conv2d's backward builds each sample's G twice, in a buffer
+each range zeroes once, since every sample writes the same tap windows; the
+adjoint adds the crop of ``W_taps @ G[n]`` into zeros, as the column form
+adds its taps. Each of these loops holds one sample's k*k grid rows (and
+its padded input or, in the adjoint, C rows of ``W_taps @ G[n]``) at a
+time. The sums run in another order than the column form's, so results
+differ from it by float32 rounding.
 
 Batchnorm keeps float64 statistics per channel block: the mean, the
-variance and the backward run over blocks of channels (about
-``_BN_BLOCK_BYTES`` of float64 each, two channels at least), the statistics
-through a block buffer per range and the backward through the input
-gradient's block and one sample's block per range, so the op makes no
-full-size temporary besides its outputs and ``xhat``. Each channel is still reduced over the whole tensor's
-(N, H*W) layout, so the bits are those of whole-tensor expressions.
+variance, the normalization and the backward run over blocks of channels
+(about ``_BN_BLOCK_BYTES`` of float64 each, two channels at least), each
+range through a block buffer of its own. The normalized input ``xhat`` is
+formed a block at a time, in the forward and again, from the input the
+graph holds, in the backward, so the op holds no ``xhat`` and makes no
+full-size temporary besides its output and the input gradient. Each
+channel is still reduced over the whole tensor's (N, H*W) layout, so the
+bits are those of whole-tensor expressions.
 
 Inside ``no_graph()`` (what ``OSegNetModel.forward(training=False)`` runs
 under) ops compute the same values but record no graph: each output keeps no
-parents, no backward closure and no gradient buffer, so the columns and other
-buffers a closure would capture are freed as soon as the op returns.
+parents, no backward closure and no gradient buffer, so the buffers a
+closure would capture (a power stack, an activation's output) are freed as
+soon as the op returns.
 
 Importing this module sets the malloc policy of the whole process once. On
 glibc it calls ``mallopt`` to fix the mmap threshold at 32 MiB (glibc's own
@@ -507,23 +511,36 @@ def _same_pads(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return out, before, total - before
 
 
-def _im2col(padded: np.ndarray, k: int, stride: int, h_out: int, w_out: int,
-            cols: np.ndarray) -> np.ndarray:
-    """(N, C, Hp, Wp) -> columns (N, C, k, k, h_out, w_out), written into cols."""
-    for ky in range(k):
-        for kx in range(k):
-            cols[:, :, ky, kx] = padded[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
-                                        kx:kx + (w_out - 1) * stride + 1:stride]
-    return cols
-
-
 def _clip_taps(offset: int, stride: int, n_out: int, extent: int) -> tuple[int, int, slice]:
     """Output positions [i0, i1) whose tap at this offset lands on the unpadded
-    grid (0 <= i*stride + offset < extent), and the grid positions they land on."""
+    grid (0 <= i*stride + offset < extent), and the grid positions they land
+    on; i1 = i0 when there are none."""
     i0 = max(0, -(offset // stride))
-    i1 = min(n_out, -((offset - extent) // stride))
+    i1 = max(i0, min(n_out, -((offset - extent) // stride)))
     start = i0 * stride + offset
-    return i0, i1, slice(start, start + max(i1 - i0, 0) * stride, stride)
+    return i0, i1, slice(start, start + (i1 - i0) * stride, stride)
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pt: int, pl: int, cols: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> columns (N, C, k, k, h_out, w_out) of x same-padded by
+    (pt, pl) before, written into cols.
+
+    No padded copy is made: each tap's window is clipped to the unpadded
+    grid (_clip_taps), as _col2im_add clips, and +0.0 goes only into the
+    strips of the tap row that the clip leaves out, the padding's values.
+    """
+    h_out, w_out = cols.shape[4:]
+    for ky in range(k):
+        i0, i1, ys = _clip_taps(ky - pt, stride, h_out, x.shape[2])
+        for kx in range(k):
+            j0, j1, xs = _clip_taps(kx - pl, stride, w_out, x.shape[3])
+            tap = cols[:, :, ky, kx]
+            tap[:, :, :i0] = 0.0
+            tap[:, :, i1:] = 0.0
+            tap[:, :, i0:i1, :j0] = 0.0
+            tap[:, :, i0:i1, j1:] = 0.0
+            tap[:, :, i0:i1, j0:j1] = x[:, :, ys, xs]
+    return cols
 
 
 def _col2im_add(buf: np.ndarray, cols: np.ndarray, k: int, stride: int, pt: int, pl: int) -> None:
@@ -570,87 +587,78 @@ def _shift_taps(shifted: np.ndarray, g: np.ndarray, k: int, stride: int, h_out: 
     return shifted
 
 
-def _lower(x, w2, k, stride):
-    """y = w2 @ im2col(x, same-padded) and weight_grad(g) for its weight gradient.
+def _lower(x, k, stride, w2=None, outer=None):
+    """y = w2 @ im2col(x, same-padded), the weight-gradient products of outer, or both.
 
-    x: (N, C, H, W); w2: (Cout, C*k*k). Returns y as (N, Cout, h_out, w_out)
-    and weight_grad, which takes g shaped like y and returns the float64
-    (Cout, C*k*k) weight gradient: the sum over samples of g3[n] @ cols[n].T,
-    adding the float32 products in batch order onto float64 zeros. The input
-    gradient is _adjoint's. The whole batch's columns are built once, a
-    sample range per thread (_split), each range padding its own samples
-    into them, and weight_grad keeps the columns. When the batch splits, it
-    forms the products side by side into one buffer of the batch's, a
-    sample range per thread, else one at a time on the calling thread.
+    x: (N, C, H, W); w2: (Cout, C*k*k); outer: (N, Cout, h_out*w_out).
+    Returns (y, dw), each None unless asked for: y as (N, Cout, h_out,
+    w_out), and dw, the float64 (Cout, C*k*k) weight gradient, the sum over
+    samples of outer[n] @ cols[n].T, adding the float32 products in batch
+    order onto float64 zeros. The input gradient is _adjoint's. Each sample
+    range (_split) builds its samples' columns into a buffer of its own,
+    once, forms from it whatever was asked, and frees it: nothing outlives
+    the call but y and dw. When the batch splits, the products go side by
+    side into one buffer of the batch's and are added after; else they are
+    formed and added one at a time on the calling thread.
 
-    With one row in w2 no columns are built and each sample goes through its
-    own BLAS calls on its padded grid, padded as it is used: Z = W_taps.T @
-    padded[n] (k*k x Hp*Wp) gives y as the sum of Z's tap rows at their
-    offsets, and weight_grad forms padded[n] @ G[n].T, with G from
-    _shift_taps, a sample range per thread. weight_grad holds only x.
+    With one row in w2 (one in outer) no columns are built and each sample
+    goes through its own BLAS calls on its padded grid, copied into a buffer
+    per range whose border is zeroed once: Z = W_taps.T @ padded[n] (k*k x
+    Hp*Wp) gives y as the sum of Z's tap rows at their offsets, and the
+    product is padded[n] @ G[n].T, with G from _shift_taps.
     """
     n, c, h, w = x.shape
     h_out, pt, pb = _same_pads(h, k, stride)
     w_out, pl, pr = _same_pads(w, k, stride)
-    pads = ((0, 0), (0, 0), (pt, pb), (pl, pr))
-    cout, rows = w2.shape
-    hw = h_out * w_out
-    y = np.empty((n, cout, hw), dtype=np.float32)
+    cout = len(w2) if w2 is not None else outer.shape[1]
+    rows, hw = c * k * k, h_out * w_out
+    hp, wp = h + pt + pb, w + pl + pr
+    work = cout * rows * (hw if cout > 1 else hp * wp)
+    width = _ranges(n, work, _SPLIT_MIN_MACS)
+    y = None if w2 is None else np.empty((n, cout, hw), dtype=np.float32)
+    dw = None if outer is None else np.zeros((cout, rows))
+    # The products go side by side exactly when the batch splits.
+    parts = None if outer is None else np.empty((n if width > 1 else 1, cout, rows), dtype=np.float32)
+
+    def product(i, a, b_t):
+        """Sample i's float32 product a @ b_t; added at once unless the batch splits."""
+        part = parts[i if width > 1 else 0]
+        np.matmul(a, b_t, out=part.reshape(len(a), -1))
+        if width == 1:
+            np.add(dw, part, out=dw)
+
     if cout > 1:
-        cols = np.empty((n, c, k, k, h_out, w_out), dtype=np.float32)
-        macs = w2.size * hw
+        def lower(a, b):
+            cols = np.empty((b - a, c, k, k, h_out, w_out), dtype=np.float32)
+            cols = _im2col(x[a:b], k, stride, pt, pl, cols).reshape(b - a, rows, hw)
+            if y is not None:
+                np.matmul(w2, cols, out=y[a:b])
+            if outer is not None:
+                for i in range(a, b):
+                    product(i, outer[i], cols[i - a].T)
+    else:
+        grid = hp * wp
 
         def lower(a, b):
-            _im2col(np.pad(x[a:b], pads), k, stride, h_out, w_out, cols[a:b])
-            np.matmul(w2, cols[a:b].reshape(b - a, rows, hw), out=y[a:b])
-
-        _split(n, macs, _SPLIT_MIN_MACS, lower)
-        cols = cols.reshape(n, rows, hw)
-
-        def sample_products(g3):
-            if _ranges(n, macs, _SPLIT_MIN_MACS) > 1:
-                parts = np.empty((n, cout, rows), dtype=np.float32)
-
-                def products(a, b):
-                    for i in range(a, b):
-                        np.matmul(g3[i], cols[i].T, out=parts[i])
-
-                _split(n, macs, _SPLIT_MIN_MACS, products)
-                return parts
-            buf = np.empty((cout, rows), dtype=np.float32)
-            return (np.matmul(a, b.T, out=buf) for a, b in zip(g3, cols))
-    else:
-        hp, wp = h + pt + pb, w + pl + pr
-        grid = hp * wp
-        w_taps = w2.reshape(c, k * k)
-
-        def lower_grid(a, b):
-            z = np.empty((k * k, hp, wp), dtype=np.float32)
-            for i in range(a, b):
-                np.matmul(w_taps.T, np.pad(x[i], pads[1:]).reshape(c, grid), out=z.reshape(k * k, grid))
-                _sum_taps(y[i].reshape(h_out, w_out), z, k, stride, h_out, w_out)
-
-        _split(n, w2.size * grid, _SPLIT_MIN_MACS, lower_grid)
-
-        def sample_products(g3):
-            parts = np.empty((n, 1, rows), dtype=np.float32)
-
-            def products(a, b):
+            padded = np.zeros((c, hp, wp), dtype=np.float32)
+            if y is not None:
+                z = np.empty((k * k, hp, wp), dtype=np.float32)
+            if outer is not None:
                 shifted = np.zeros((k * k, hp, wp), dtype=np.float32)
-                for i in range(a, b):
-                    gi = _shift_taps(shifted, g3[i], k, stride, h_out, w_out).reshape(k * k, grid)
-                    np.matmul(np.pad(x[i], pads[1:]).reshape(c, grid), gi.T, out=parts[i].reshape(c, k * k))
+            for i in range(a, b):
+                padded[:, pt:pt + h, pl:pl + w] = x[i]
+                if y is not None:
+                    np.matmul(w2.reshape(c, k * k).T, padded.reshape(c, grid), out=z.reshape(k * k, grid))
+                    _sum_taps(y[i].reshape(h_out, w_out), z, k, stride, h_out, w_out)
+                if outer is not None:
+                    g = _shift_taps(shifted, outer[i], k, stride, h_out, w_out).reshape(k * k, grid)
+                    product(i, padded.reshape(c, grid), g.T)
 
-            _split(n, w2.size * grid, _SPLIT_MIN_MACS, products)
-            return parts
-
-    def weight_grad(g):
-        dw = np.zeros((cout, rows))
-        for part in sample_products(g.reshape(n, cout, hw)):
+    _split(n, work, _SPLIT_MIN_MACS, lower)
+    if parts is not None and width > 1:
+        for part in parts:
             dw += part
-        return dw
-
-    return y.reshape(n, cout, h_out, w_out), weight_grad
+    return None if y is None else y.reshape(n, cout, h_out, w_out), dw
 
 
 def _adjoint(g3, w2, k, stride, h, w):
@@ -723,18 +731,20 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     keeps H/stride (ceil), with the extra pad on the bottom/right.
     """
     k, w2 = _conv_operands("conv2d", x, kernels, bias, stride)
-    y, weight_grad = _lower(x.data, w2, k, stride)
+    y, _ = _lower(x.data, k, stride, w2=w2)
+    y += bias.data.reshape(1, -1, 1, 1)
 
     def bwd(g):
-        _accumulate(kernels, weight_grad(g).astype(np.float32).reshape(kernels.shape))
+        g3 = g.reshape(*g.shape[:2], -1)
+        _, dw = _lower(x.data, k, stride, outer=g3)
+        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
         _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
         # A leaf made under no_graph() (a batch input) has no gradient buffer:
         # nothing reads its gradient, so none is computed.
         if x._parents or x.grad is not None:
-            g3 = g.reshape(*g.shape[:2], -1)
             _accumulate(x, _adjoint(g3, w2, k, stride, *x.shape[2:]), owned=True)
 
-    return Tensor(y + bias.data.reshape(1, -1, 1, 1), (x, kernels, bias), "conv2d", bwd)
+    return Tensor(y, (x, kernels, bias), "conv2d", bwd)
 
 
 def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -747,15 +757,15 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) 
     k, w2 = _conv_operands("conv2d_transpose", x, kernels, bias, stride)
     n, cin, h, w = x.shape
     y = _adjoint(x.data.reshape(n, cin, h * w), w2, k, stride, stride * h, stride * w)
+    y += bias.data.reshape(1, -1, 1, 1)
 
     def bwd(g):
-        dx, weight_grad = _lower(g, w2, k, stride)
-        _accumulate(kernels, weight_grad(x.data).astype(np.float32).reshape(kernels.shape))
-        del weight_grad  # frees the columns before the input gradient is accumulated
+        dx, dw = _lower(g, k, stride, w2=w2, outer=x.data.reshape(n, cin, h * w))
+        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
         _accumulate(x, dx, owned=True)
         _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 
-    return Tensor(y + bias.data.reshape(1, -1, 1, 1), (x, kernels, bias), "conv2d_transpose", bwd)
+    return Tensor(y, (x, kernels, bias), "conv2d_transpose", bwd)
 
 
 def power_expand(x: Tensor, q_order: int) -> Tensor:
@@ -830,13 +840,15 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     with a zero input gradient.
 
     Float64 statistics per channel block: in training, the mean and
-    variance, then xhat and y, then the backward run over ranges of channel
-    blocks (``_channel_blocks``, _split). The statistics take a float64
-    block buffer per range; the backward forms its products in the input
-    gradient's block and takes one sample's float32 block per range. So no
-    full-size temporary is made beyond ``xhat``, ``y`` and the input
-    gradient. Each channel is reduced in the order a whole-tensor reduction
-    uses, so blocking changes no bits.
+    variance, then y, then the backward run over ranges of channel blocks
+    (``_channel_blocks``, _split). The statistics take a float64 block
+    buffer per range. xhat is formed in a float32 block buffer per range,
+    in the forward and again, from x, in the backward, which forms its
+    products in the input gradient's block; so the op holds no xhat, and no
+    full-size temporary is made beyond ``y`` and the input gradient.
+    Inference's one block is the whole tensor, and y takes xhat. Each
+    channel is reduced in the order a whole-tensor reduction uses, so
+    blocking changes no bits.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm expects a 4-D tensor, got {x.shape}")
@@ -845,16 +857,16 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(f"batchnorm: gamma/beta shape must be ({c},), got {gamma.shape}/{beta.shape}")
     axes = (0, 2, 3)
 
+    if training and x.size == c:
+        raise ShapeError(f"batchnorm: training needs more than one value per channel, got "
+                         f"input shape {x.shape}: one sample at 1x1 has nothing to normalize over")
+    blocks = _channel_blocks(x.shape) if training else [(0, c)]
+    block_size = n * max(c1 - c0 for c0, c1 in blocks) * h * w
+
+    def block(buf, c0, c1):
+        return buf[:n * (c1 - c0) * h * w].reshape(n, c1 - c0, h, w)
+
     if training:
-        if x.size == c:
-            raise ShapeError(f"batchnorm: training needs more than one value per channel, got "
-                             f"input shape {x.shape}: one sample at 1x1 has nothing to normalize over")
-        blocks = _channel_blocks(x.shape)
-        block_size = n * max(c1 - c0 for c0, c1 in blocks) * h * w
-
-        def block(buf, c0, c1):
-            return buf[:n * (c1 - c0) * h * w].reshape(n, c1 - c0, h, w)
-
         mu = np.empty(c, dtype=np.float64)
         var = np.empty(c, dtype=np.float64)
 
@@ -866,32 +878,34 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
                 np.subtract(xb, mu[c0:c1].reshape(1, -1, 1, 1), out=dev)
                 var[c0:c1] = np.square(dev, out=dev).mean(axis=axes)
 
-        # The block buffers are freed before xhat and y are made.
+        # The block buffers are freed before y is made.
         _split(len(blocks), x.data.nbytes, _SPLIT_MIN_BYTES, stats)
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mu.astype(np.float32)
         running_var *= momentum
         running_var += (1.0 - momentum) * var.astype(np.float32)
     else:
-        blocks = [(0, c)]
         mu = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
 
     inv = (1.0 / np.sqrt(var + eps)).astype(np.float32).reshape(1, c, 1, 1)
     mu4 = mu.astype(np.float32).reshape(1, c, 1, 1)
     g4, b4 = gamma.data.reshape(1, c, 1, 1), beta.data.reshape(1, c, 1, 1)
-    xhat = np.empty_like(x.data)
-    # Inference needs no xhat afterwards, so y overwrites it.
-    y = np.empty_like(x.data) if training else xhat
+    y = np.empty_like(x.data)
 
-    def normalize(i, j):
+    def normalize(buf, c0, c1):
+        """xhat of channels [c0, c1), formed in buf's block."""
+        xb = np.subtract(x.data[:, c0:c1], mu4[:, c0:c1], out=block(buf, c0, c1))
+        return np.multiply(xb, inv[:, c0:c1], out=xb)
+
+    def forward(i, j):
+        # Inference's one block is the whole tensor, so y takes xhat.
+        buf = np.empty(block_size, dtype=np.float32) if training else y.reshape(-1)
         for c0, c1 in blocks[i:j]:
-            xb = np.subtract(x.data[:, c0:c1], mu4[:, c0:c1], out=xhat[:, c0:c1])
-            np.multiply(xb, inv[:, c0:c1], out=xb)
-            yb = np.multiply(g4[:, c0:c1], xb, out=y[:, c0:c1])
+            yb = np.multiply(g4[:, c0:c1], normalize(buf, c0, c1), out=y[:, c0:c1])
             yb += b4[:, c0:c1]
 
-    _split(len(blocks), x.data.nbytes, _SPLIT_MIN_BYTES, normalize)
+    _split(len(blocks), x.data.nbytes, _SPLIT_MIN_BYTES, forward)
     if not training:
         with no_graph():
             return Tensor(y, (x, gamma, beta), "batchnorm")
@@ -902,24 +916,22 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         dx = np.empty_like(g)
 
         def backward(i, j):
-            # The products the sums take are formed in the block's own dx, so
-            # a range holds one sample's block of scratch, not a whole block.
-            buf = np.empty(block_size // n, dtype=np.float32)
+            # xhat is formed again from x, a block at a time; the products the
+            # sums take are formed in the block's own dx.
+            buf = np.empty(block_size, dtype=np.float32)
             for c0, c1 in blocks[i:j]:
-                gb, xb, d, gam = g[:, c0:c1], xhat[:, c0:c1], dx[:, c0:c1], g4[:, c0:c1]
+                gb, xb, d, gam = g[:, c0:c1], normalize(buf, c0, c1), dx[:, c0:c1], g4[:, c0:c1]
                 dgamma[c0:c1] = np.multiply(gb, xb, out=d).sum(axis=axes, dtype=np.float64)
                 dbeta[c0:c1] = gb.sum(axis=axes, dtype=np.float64)
                 gs = np.multiply(gb, gam, out=d)
                 mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, -1, 1, 1)
                 mean_gs_xhat = np.multiply(gs, xb, out=d).mean(axis=axes, dtype=np.float64)
-                mean_gs_xhat = mean_gs_xhat.astype(np.float32).reshape(-1, 1, 1)
+                mean_gs_xhat = mean_gs_xhat.astype(np.float32).reshape(1, -1, 1, 1)
                 # dx = inv * ((gs - mean_gs) - xhat * mean_gs_xhat), written over
-                # gs, formed again, with one sample's xhat * mean_gs_xhat at a time.
+                # gs, formed again, with xhat * mean_gs_xhat written over xhat.
                 gs = np.multiply(gb, gam, out=d)
                 np.subtract(gs, mean_gs, out=gs)
-                t = buf[:(c1 - c0) * h * w].reshape(c1 - c0, h, w)
-                for k in range(n):
-                    np.subtract(gs[k], np.multiply(xb[k], mean_gs_xhat, out=t), out=gs[k])
+                np.subtract(gs, np.multiply(xb, mean_gs_xhat, out=xb), out=gs)
                 np.multiply(inv[:, c0:c1], gs, out=gs)
 
         _split(len(blocks), g.nbytes, _SPLIT_MIN_BYTES, backward)

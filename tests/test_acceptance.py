@@ -354,6 +354,38 @@ def test_training_step_golden_bytes_at_224_px(tmp_path, batch):
     assert proc.stdout.strip() == TRAIN_STEP_SHA256[batch]
 
 
+# The traced peak of one canonical Q=3 batch-4 training step at 224 px: the
+# forward, the loss and the backward, after the gradients are zeroed.
+STEP_PEAK = """
+import tracemalloc
+import numpy as np
+from osegnet.losses import hybrid_loss
+from osegnet.model import ModelConfig, OSegNetModel
+from osegnet.tensor import Tensor, no_graph
+
+model = OSegNetModel(ModelConfig(q_order=3, input_size=224), np.random.default_rng(0))
+rng = np.random.default_rng(4)
+with no_graph():
+    x = Tensor(rng.uniform(0, 1, (4, 1, 224, 224)).astype(np.float32))
+    y = Tensor((rng.uniform(0, 1, (4, 1, 224, 224)) < 0.1).astype(np.float32))
+model.zero_grad()
+tracemalloc.start()
+hybrid_loss(y, model.forward(x, training=True)).backward()
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_training_step_peak_at_224_px(tmp_path):
+    """One 224 px batch-4 training step allocates at most 145 MiB at its
+    peak. The step holds no batchnorm xhat and no im2col columns from the
+    forward to the backward; holding them (32 MiB more) breaks the bound."""
+    proc = subprocess.run([sys.executable, "-c", STEP_PEAK], cwd=tmp_path,
+                          env=PINNED_ENV, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout) / 2**20
+    assert peak <= 145, f"{peak:.1f} MiB"
+
+
 def test_cli_subprocess_imports_the_tested_package(tmp_path):
     """Negative control for ``cli``: a child started like it, from a working
     directory outside the repo, must import the very package this suite tests,

@@ -500,8 +500,9 @@ class TestInferenceMode:
         assert got == want
 
     def test_inference_holds_no_buffers_after_the_call(self):
-        # Training keeps every column buffer alive through the graph; the
-        # negative control shows the probe sees them.
+        # Training keeps every activation the backward reads (the inputs of
+        # the convolutions and batchnorms, the power stacks) alive through
+        # the graph; the negative control shows the probe sees them.
         model = OSegNetModel(ModelConfig(q_order=3, input_size=224), np.random.default_rng(0))
         x = Tensor(np.random.default_rng(26).uniform(0, 1, (1, 1, 224, 224)).astype(np.float32))
 

@@ -479,13 +479,15 @@ class TestConv2dBatchSlices:
         finally:
             tracemalloc.stop()
 
-    def test_whole_batch_columns_are_held_until_backward(self):
+    def test_column_forward_holds_only_its_output(self):
+        # The columns (27 648 B here) are freed when the forward returns:
+        # the backward builds them again from x, which the graph holds.
         rng = np.random.default_rng(22)
         x = Tensor(rng.standard_normal((3, 4, 16, 16)).astype(np.float32))
         kernel = Tensor(rng.standard_normal((2, 4, 3, 3)).astype(np.float32))
-        cols_bytes = 3 * 4 * 3 * 3 * 16 * 16 * 4
         held, y = self.held_bytes(x, kernel)
-        assert held >= cols_bytes
+        out_bytes = y.data.nbytes
+        assert held <= out_bytes + (16 << 10), (held, out_bytes)
         y.sum().backward()
         assert x.grad.any() and kernel.grad.any()
 
@@ -503,6 +505,40 @@ class TestConv2dBatchSlices:
         assert kernel.grad.any()
 
 
+def padded_columns(x, k, stride):
+    """im2col by its definition: x same-padded with np.pad, then each tap's
+    strided window sliced out, as (N, C, k, k, h_out, w_out)."""
+    n, c, h, w = x.shape
+    h_out, pt, pb = tensor_mod._same_pads(h, k, stride)
+    w_out, pl, pr = tensor_mod._same_pads(w, k, stride)
+    padded = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    return np.stack([np.stack([padded[:, :, ky:ky + (h_out - 1) * stride + 1:stride,
+                                      kx:kx + (w_out - 1) * stride + 1:stride]
+                               for kx in range(k)], axis=2) for ky in range(k)], axis=2)
+
+
+class TestIm2col:
+    """_im2col reads the unpadded input through clipped tap windows and
+    writes +0.0 into the strips the clip leaves out: its columns are those
+    of np.pad plus slicing."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
+    @pytest.mark.parametrize("h,w", [(7, 6), (6, 9), (1, 1), (2, 1), (1, 3)],
+                             ids=["odd-even", "even-odd", "1x1", "2x1", "1x3"])
+    def test_same_columns_as_padding_then_slicing(self, h, w, stride, k):
+        rng = np.random.default_rng([53, h, w, stride, k])
+        x = rng.standard_normal((2, 3, h, w)).astype(np.float32)
+        x[0, 0] = -0.0  # the input's own -0.0 stays; the padding is +0.0
+        h_out, pt, _ = tensor_mod._same_pads(h, k, stride)
+        w_out, pl, _ = tensor_mod._same_pads(w, k, stride)
+        cols = np.full((2, 3, k, k, h_out, w_out), np.nan, dtype=np.float32)  # every byte is written
+        got = tensor_mod._im2col(x, k, stride, pt, pl, cols)
+        want = padded_columns(x, k, stride)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def column_form(x0, k0, b0, g0, stride, dtype=np.float32):
     """Reference for the one-output-channel conv2d: the column form it
     replaces. y = w2 @ im2col(x), dW = sum over samples of g @ cols.T, and
@@ -513,8 +549,7 @@ def column_form(x0, k0, b0, g0, stride, dtype=np.float32):
     h_out, pt, pb = tensor_mod._same_pads(h, k, stride)
     w_out, pl, pr = tensor_mod._same_pads(w, k, stride)
     padded = np.pad(x0.astype(dtype), ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols = tensor_mod._im2col(padded, k, stride, h_out, w_out,
-                              np.empty((n, c, k, k, h_out, w_out), dtype)).reshape(n, c * k * k, -1)
+    cols = padded_columns(x0.astype(dtype), k, stride).reshape(n, c * k * k, -1)
     w2 = k0.reshape(1, c * k * k).astype(dtype)
     g3 = g0[:, :, :h_out, :w_out].reshape(n, 1, h_out * w_out).astype(dtype)
     y = np.matmul(w2, cols).reshape(n, 1, h_out, w_out) + b0.astype(dtype)
@@ -637,8 +672,7 @@ class TestOneOutputChannelBackward:
 
         n, c, hh, ww = x0.shape
         w2 = k0.reshape(1, c * 9)
-        _, weight_grad = tensor_mod._lower(x0, w2, 3, stride)
-        dw = weight_grad(g)
+        _, dw = tensor_mod._lower(x0, 3, stride, outer=g.reshape(n, 1, -1))
         want_dx = tensor_mod._adjoint(g.reshape(n, 1, -1), w2, 3, stride, hh, ww)
         return x.grad, kernel.grad, want_dx, dw.astype(np.float32).reshape(k0.shape)
 
@@ -858,8 +892,9 @@ class TestConvTransposeBatchSlices:
     def test_backward_lowers_each_sample_once(self, monkeypatch):
         # Decoder block 5 at 224 px, Q=3: 16*3 channels at 112 px up to 8 at
         # 224 px. The backward lowers the batch of 8 once, in three sample
-        # ranges, and the weight gradient reuses those columns instead of
-        # building its own: the ranges cover samples 0-7 exactly once.
+        # ranges, and forms the input gradient and the weight-gradient
+        # products from each range's one build: the ranges cover samples 0-7
+        # exactly once.
         monkeypatch.setattr(tensor_mod, "_width", 3)
         rng = np.random.default_rng(43)
         x = Tensor(rng.standard_normal((8, 48, 112, 112)).astype(np.float32))
@@ -868,13 +903,13 @@ class TestConvTransposeBatchSlices:
         ranges = []
         im2col = tensor_mod._im2col
 
-        def spy(padded, k, stride, h_out, w_out, cols):
-            whole = cols  # a range's view of the batch's column buffer
+        def spy(xs, k, stride, pt, pl, cols):
+            whole = xs  # a range's view of the batch's input
             while whole.base is not None:
                 whole = whole.base
-            start = (cols.ctypes.data - whole.ctypes.data) // cols.strides[0]
-            ranges.append(range(start, start + len(cols)))
-            return im2col(padded, k, stride, h_out, w_out, cols)
+            start = (xs.ctypes.data - whole.ctypes.data) // xs.strides[0]
+            ranges.append(range(start, start + len(xs)))
+            return im2col(xs, k, stride, pt, pl, cols)
 
         monkeypatch.setattr(tensor_mod, "_im2col", spy)
         y._backward_fn(np.ones(y.shape, dtype=np.float32))
@@ -1045,16 +1080,33 @@ class TestSampleRanges:
 
     @pytest.mark.parametrize("op", [conv2d, conv2d_transpose], ids=["conv2d", "transpose"])
     def test_weight_gradient_products_split_exactly_when_the_batch_does(self, monkeypatch, op):
-        # At width 1 the column path forms the products one at a time; at
-        # widths 2 and 3 side by side, in as many ranges as the lowering.
+        # At width 1 the column path forms the products one at a time, on
+        # the calling thread into one buffer; at widths 2 and 3 side by side,
+        # in the lowering's ranges, each into its own slot of a batch buffer.
         ranges = {}
         split = tensor_mod._split
+        products = []  # (on the calling thread, address written)
 
         def record(n, work, floor, fn):
             ranges[fn.__name__] = tensor_mod._ranges(n, work, floor)
             split(n, work, floor, fn)
 
+        class ProductSpy:
+            """numpy, recording each matmul with a 2-D output: the column
+            path's weight-gradient products."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, out=None):
+                if out is not None and out.ndim == 2:
+                    products.append((threading.current_thread() is threading.main_thread(),
+                                     out.ctypes.data))
+                return np.matmul(a, b, out=out)
+
         monkeypatch.setattr(tensor_mod, "_split", record)
+        monkeypatch.setattr(tensor_mod, "np", ProductSpy())
         rng = np.random.default_rng([50, 1 << 20])
         x0 = rng.standard_normal((5, 4, 7, 6)).astype(np.float32)
         k0 = rng.standard_normal((3, 4, 3, 3) if op is conv2d else (4, 3, 3, 3)).astype(np.float32)
@@ -1066,14 +1118,19 @@ class TestSampleRanges:
 
         def run():
             ranges.clear()
+            products.clear()
             result = self.run(op, x0, k0, b0, g0, 2)
-            seen.append(dict(ranges))
+            seen.append((dict(ranges), list(products)))
             return result
 
         self.assert_same_bytes_at_every_width(monkeypatch, run)
-        assert "products" not in seen[0] and seen[0]["lower"] == 1
-        for width, names in zip((2, 3), seen[1:]):
-            assert names["products"] == names["lower"] == width, names
+        names, formed = seen[0]
+        assert names["lower"] == 1 and len(formed) == 5
+        assert all(on_caller for on_caller, _ in formed) and len({a for _, a in formed}) == 1
+        for width, (names, formed) in zip((2, 3), seen[1:]):
+            assert names["lower"] == width, names
+            assert len(formed) == len({a for _, a in formed}) == 5
+            assert sum(on_caller for on_caller, _ in formed) == 5 // width  # the first range's
 
     def test_per_range_partial_sums_of_the_weight_gradient_round_otherwise(self, monkeypatch):
         # Negative control for the tests above: adding each range's products
@@ -1484,9 +1541,10 @@ class TestBatchnormChannelBlocks:
                 peaks.append((tracemalloc.get_traced_memory()[1] - base) / x.data.nbytes)
         finally:
             tracemalloc.stop()
-        # Forward keeps xhat and y; backward makes the input gradient. The rest
-        # is one channel block's buffer.
-        assert peaks[0] < 3.0 and peaks[1] < 2.0, peaks
+        # Forward keeps y; backward makes the input gradient. The rest is one
+        # channel block's buffer: xhat is formed a block at a time, and again
+        # in the backward.
+        assert peaks[0] < 2.0 and peaks[1] < 2.0, peaks
 
 
 # Six training steps of the canonical 64 px model (Q=3, batch 4), each on a
