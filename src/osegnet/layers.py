@@ -1,4 +1,4 @@
-"""Network layers: operational convolutions and batch normalization.
+"""Network layers: operational convolutions and batch normalization under tanh.
 
 An operational layer generalizes a convolution by feeding it the first Q
 elementwise powers of each input channel, so every kernel tap learns the
@@ -73,11 +73,13 @@ class Oper2DTransposeLayer:
 
 
 class BatchNormLayer:
-    """Per-channel batch normalization with running statistics.
+    """Per-channel batch normalization with running statistics, then tanh.
 
-    gamma/beta are trainable; running_mean/running_var are plain arrays
-    updated in place during training-mode forward passes and consumed in
-    inference mode, with the fixed ``BN_MOMENTUM`` and ``BN_EPS``.
+    Returns tanh(gamma * xhat + beta) as one node (``tensor.batchnorm``):
+    every batchnorm of the model feeds a tanh. gamma/beta are trainable;
+    running_mean/running_var are plain arrays updated in place during
+    training-mode forward passes and consumed in inference mode, with the
+    fixed ``BN_MOMENTUM`` and ``BN_EPS``.
     """
 
     def __init__(self, channels: int):

@@ -2,11 +2,12 @@
 
 The network is an autoencoder-shaped segmenter. The encoder halves the
 spatial extent at every stage (an operational layer at Q=1, which is a
-plain strided convolution) and ends in tanh, so the decoder always sees
-features in [-1, 1] — the domain where polynomial nodal operators are well
-behaved. The decoder mirrors the encoder with x2 operational transpose
-blocks and finishes with a single-channel operational layer under sigmoid.
-No skip connections: the decoder consumes only the bottleneck features.
+plain strided convolution, then a batchnorm that ends in tanh, one op), so
+the decoder always sees features in [-1, 1] — the domain where polynomial
+nodal operators are well behaved. The decoder mirrors the encoder with x2
+operational transpose blocks, each under the same batchnorm and tanh, and
+finishes with a single-channel operational layer under sigmoid. No skip
+connections: the decoder consumes only the bottleneck features.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ class OSegNetModel:
         with contextlib.nullcontext() if training else no_graph():
             h = x
             for conv, bn in self.encoder:
-                h = bn(conv(h), training).tanh()
+                h = bn(conv(h), training)
             for up, bn in self.decoder:
-                h = bn(up(h), training).tanh()
+                h = bn(up(h), training)
             return self.final(h).sigmoid()
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:

@@ -37,10 +37,10 @@ is one of:
   columns, or the one-row loop) and the adjoint (its GEMM and col2im, or
   the one-row loop), when a sample's GEMMs take ``_SPLIT_MIN_MACS``
   multiply-adds or more;
-- samples (rows along the first axis), for power_expand, tanh, sigmoid and
-  their backwards, and channel blocks, for training batchnorm's statistics,
-  normalization and backward, when the input spans ``_SPLIT_MIN_BYTES`` or
-  more;
+- samples (rows along the first axis), for power_expand, sigmoid and their
+  backwards, and channel blocks, for training batchnorm's statistics,
+  normalization (with its tanh) and backward, when the input spans
+  ``_SPLIT_MIN_BYTES`` or more;
 - blocks of Adam's parameters (``optim``), above the same bytes floor.
 Anything else, and a batch of one, runs inline. Every sample, channel and
 element goes through the numpy calls it would go through alone, so the bits
@@ -68,15 +68,19 @@ its padded input or, in the adjoint, C rows of ``W_taps @ G[n]``) at a
 time. The sums run in another order than the column form's, so results
 differ from it by float32 rounding.
 
-Batchnorm keeps float64 statistics per channel block: the mean, the
-variance, the normalization and the backward run over blocks of channels
-(about ``_BN_BLOCK_BYTES`` of float64 each, two channels at least), each
-range through a block buffer of its own. The normalized input ``xhat`` is
-formed a block at a time, in the forward and again, from the input the
-graph holds, in the backward, so the op holds no ``xhat`` and makes no
-full-size temporary besides its output and the input gradient. Each
-channel is still reduced over the whole tensor's (N, H*W) layout, so the
-bits are those of whole-tensor expressions.
+Batchnorm ends in tanh, as every batchnorm of the model does: the op
+returns tanh(gamma * xhat + beta) as one node, whose backward reads only
+that output and the op's input, so no graph holds the batchnorm output
+under the tanh. It keeps float64 statistics per channel block: the mean,
+the variance, the normalization with its tanh and the backward run over
+blocks of channels (about ``_BN_BLOCK_BYTES`` of float64 each, two channels
+at least), each range through a block buffer of its own. The normalized
+input ``xhat`` is formed a block at a time, in the forward and again, from
+the input the graph holds, for each product of the backward, so the op
+holds no ``xhat`` and makes no full-size temporary besides its output and
+the input gradient. Each channel is still reduced over the whole tensor's
+(N, H*W) layout, and tanh and its gradient are elementwise, so the bits are
+those of whole-tensor expressions.
 
 Inside ``no_graph()`` (what ``OSegNetModel.forward(training=False)`` runs
 under) ops compute the same values but record no graph: each output keeps no
@@ -162,13 +166,14 @@ if hasattr(os, "register_at_fork"):
 # 3.5 M, and 23% faster at 224 px, where all but the first take 10.8 M or more.
 _SPLIT_MIN_MACS = 1 << 23
 
-# Bytes the input of a training batchnorm, power_expand, tanh or sigmoid (or
-# Adam's parameters) must span for the op to be split. On the same host, at
-# the canonical batch-4 shapes, splitting made an op's forward plus backward
-# 27-49% faster from 1.5 MiB up (tanh at 1.5 MiB: 2%). At 0.77 MiB
-# batchnorm, sigmoid and power_expand gained 19-34% but tanh lost 52%; at
-# 0.38 MiB or less no op gained over 2% and tanh lost up to 7x. Every 64 px
-# input is 0.5 MiB or less. Adam's 6 MiB of parameters gained 17%.
+# Bytes the input of a training batchnorm, power_expand or sigmoid (or Adam's
+# parameters) must span for the op to be split. On the same host, at the
+# canonical batch-4 shapes, splitting made an op's forward plus backward
+# 27-49% faster from 1.5 MiB up. At 0.77 MiB sigmoid and power_expand gained
+# 19-34%, and batchnorm with its tanh 18-23% in two runs of three but lost
+# 13% in the third; at 0.38 MiB or less batchnorm has one channel block, and
+# no other op gained over 2%. Every 64 px input is 0.5 MiB or less. Adam's
+# 6 MiB of parameters gained 17%.
 _SPLIT_MIN_BYTES = 1 << 20
 
 
@@ -459,14 +464,6 @@ class Tensor:
 
     # -- activations ---------------------------------------------------------
 
-    def tanh(self) -> "Tensor":
-        y = _rowwise(np.tanh, self.data)
-
-        def bwd(g):
-            _accumulate(self, _rowwise(_tanh_grad, g, y), owned=True)
-
-        return Tensor(y, (self,), "tanh", bwd)
-
     def sigmoid(self) -> "Tensor":
         y = _rowwise(_sigmoid, self.data)
 
@@ -477,7 +474,7 @@ class Tensor:
 
 
 def _tanh_grad(g, y, out):
-    """out = g * (1 - y * y)."""
+    """out = g * (1 - y * y): tanh's gradient, from its output y."""
     np.multiply(y, y, out=out)
     np.subtract(1.0, out, out=out)
     np.multiply(g, out, out=out)
@@ -830,22 +827,28 @@ def _channel_blocks(shape: tuple) -> list:
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
               running_mean: np.ndarray, running_var: np.ndarray,
               momentum: float, eps: float, training: bool) -> Tensor:
-    """Per-channel batch normalization over the (N, H, W) axes.
+    """tanh of a per-channel batch normalization over the (N, H, W) axes.
 
-    Training mode normalizes with batch statistics (biased variance) and
-    updates the running buffers in place; inference mode uses the running
-    statistics only and returns a graph-free node, as inside ``no_graph()``.
-    Zero-variance batches are handled by the eps floor. Training with one
-    value per channel (N*H*W = 1) raises ShapeError: it would output beta
-    with a zero input gradient.
+    y = tanh(gamma * xhat + beta), one node: every batchnorm of the model
+    feeds a tanh, and the backward reads only y and x, so no graph holds
+    the batchnorm output under the tanh. Training mode normalizes with batch
+    statistics (biased variance) and updates the running buffers in place;
+    inference mode uses the running statistics only and returns a
+    graph-free node, as inside ``no_graph()``. Zero-variance batches are
+    handled by the eps floor. Training with one value per channel
+    (N*H*W = 1) raises ShapeError: it would output tanh(beta) with a zero
+    input gradient.
 
     Float64 statistics per channel block: in training, the mean and
     variance, then y, then the backward run over ranges of channel blocks
     (``_channel_blocks``, _split). The statistics take a float64 block
-    buffer per range. xhat is formed in a float32 block buffer per range,
-    in the forward and again, from x, in the backward, which forms its
-    products in the input gradient's block; so the op holds no xhat, and no
-    full-size temporary is made beyond ``y`` and the input gradient.
+    buffer per range. The forward writes gamma * xhat + beta into y's block
+    and takes its tanh there. The backward forms tanh's gradient
+    g * (1 - y*y) in the input gradient's block, then batchnorm's backward
+    of it over that block. xhat is formed in a float32 block buffer per
+    range, in the forward and again, from x, for each of the backward's
+    products with it, which is formed over it; so the op holds no xhat,
+    and no full-size temporary is made beyond ``y`` and the input gradient.
     Inference's one block is the whole tensor, and y takes xhat. Each
     channel is reduced in the order a whole-tensor reduction uses, so
     blocking changes no bits.
@@ -904,6 +907,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         for c0, c1 in blocks[i:j]:
             yb = np.multiply(g4[:, c0:c1], normalize(buf, c0, c1), out=y[:, c0:c1])
             yb += b4[:, c0:c1]
+            np.tanh(yb, out=yb)
 
     _split(len(blocks), x.data.nbytes, _SPLIT_MIN_BYTES, forward)
     if not training:
@@ -916,20 +920,25 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         dx = np.empty_like(g)
 
         def backward(i, j):
-            # xhat is formed again from x, a block at a time; the products the
-            # sums take are formed in the block's own dx.
+            # The block's own dx takes the batchnorm's upstream gradient
+            # g * (1 - y*y), then gs = that * gamma, then the input gradient.
+            # xhat is formed again from x for each product with it, which is
+            # written over it.
             buf = np.empty(block_size, dtype=np.float32)
             for c0, c1 in blocks[i:j]:
-                gb, xb, d, gam = g[:, c0:c1], normalize(buf, c0, c1), dx[:, c0:c1], g4[:, c0:c1]
-                dgamma[c0:c1] = np.multiply(gb, xb, out=d).sum(axis=axes, dtype=np.float64)
-                dbeta[c0:c1] = gb.sum(axis=axes, dtype=np.float64)
-                gs = np.multiply(gb, gam, out=d)
+                d, gam = dx[:, c0:c1], g4[:, c0:c1]
+                _tanh_grad(g[:, c0:c1], y[:, c0:c1], d)
+                dbeta[c0:c1] = d.sum(axis=axes, dtype=np.float64)
+                xb = normalize(buf, c0, c1)
+                dgamma[c0:c1] = np.multiply(d, xb, out=xb).sum(axis=axes, dtype=np.float64)
+                gs = np.multiply(d, gam, out=d)
                 mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, -1, 1, 1)
-                mean_gs_xhat = np.multiply(gs, xb, out=d).mean(axis=axes, dtype=np.float64)
+                xb = normalize(buf, c0, c1)
+                mean_gs_xhat = np.multiply(gs, xb, out=xb).mean(axis=axes, dtype=np.float64)
                 mean_gs_xhat = mean_gs_xhat.astype(np.float32).reshape(1, -1, 1, 1)
                 # dx = inv * ((gs - mean_gs) - xhat * mean_gs_xhat), written over
-                # gs, formed again, with xhat * mean_gs_xhat written over xhat.
-                gs = np.multiply(gb, gam, out=d)
+                # gs, with xhat * mean_gs_xhat written over xhat.
+                xb = normalize(buf, c0, c1)
                 np.subtract(gs, mean_gs, out=gs)
                 np.subtract(gs, np.multiply(xb, mean_gs_xhat, out=xb), out=gs)
                 np.multiply(inv[:, c0:c1], gs, out=gs)

@@ -76,7 +76,10 @@ class TestElementwise:
         assert np.allclose(a.grad, [3.0, 3.0])
 
     def test_activation_symmetry_points(self):
-        assert Tensor([0.0]).tanh().data[0] == 0.0
+        # batchnorm ends in tanh: at the running mean with beta 0 it gives tanh(0).
+        one, zero = np.ones(1, np.float32), np.zeros(1, np.float32)
+        x = Tensor(np.zeros((1, 1, 1, 1), np.float32))
+        assert batchnorm(x, Tensor(one), Tensor(zero), zero, one, 0.99, 1e-5, False).data.item() == 0.0
         assert Tensor([0.0]).sigmoid().data[0] == 0.5
 
     def test_sigmoid_extreme_inputs_finite(self):
@@ -153,7 +156,7 @@ class TestBackward:
             rng = np.random.default_rng(3)
             x = Tensor(rng.uniform(-1, 1, (2, 3)).astype(np.float32))
             w = Tensor(rng.uniform(-1, 1, (2, 3)).astype(np.float32))
-            ((x * w).tanh() + x).sum().backward()
+            ((x * w).sigmoid() + x).sum().backward()
             return x.grad.copy(), w.grad.copy()
 
         g1, g2 = run(), run()
@@ -170,7 +173,7 @@ class TestBackward:
         # gradient once walked, so a second walk would have nothing to run.
         x = Tensor([1.0, 2.0])
         h = x * x
-        loss = (h.tanh() * 3.0).sum()
+        loss = (h.sigmoid() * 3.0).sum()
         loss.backward()
         grad = x.grad.copy()
         assert (h._backward_fn, h.grad, loss._backward_fn, loss.grad) == (None, None, None, None)
@@ -189,9 +192,9 @@ class TestNoGraph:
         rng = np.random.default_rng(31)
         x = Tensor(rng.uniform(-1, 1, (2, 3, 6, 6)).astype(np.float32))
         k = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32))
-        recorded = (conv2d(x, k, zero_bias(4)).tanh() * 2.0).sum()
+        recorded = (conv2d(x, k, zero_bias(4)).sigmoid() * 2.0).sum()
         with no_graph():
-            free = (conv2d(x, k, zero_bias(4)).tanh() * 2.0).sum()
+            free = (conv2d(x, k, zero_bias(4)).sigmoid() * 2.0).sum()
             leaf = Tensor([1.0])
         assert free.data.tobytes() == recorded.data.tobytes()
         assert recorded._parents and recorded._backward_fn is not None
@@ -201,7 +204,7 @@ class TestNoGraph:
     def test_backward_through_an_inference_node_raises_before_any_gradient(self):
         x = Tensor([1.0, 2.0])
         with no_graph():
-            h = x.tanh()
+            h = x.sigmoid()
         loss = (h * 3.0).sum()  # recorded on top of an inference node
         with pytest.raises(RuntimeError, match="inference mode"):
             loss.backward()
@@ -211,11 +214,12 @@ class TestNoGraph:
     def test_recording_resumes_after_an_exception(self):
         with pytest.raises(ZeroDivisionError):
             with no_graph():
-                Tensor([1.0]).tanh()
+                Tensor([1.0]).sigmoid()
                 1 / 0
         x = Tensor([0.5])
-        x.tanh().sum().backward()
-        assert np.isclose(x.grad[0], 1.0 - np.tanh(0.5) ** 2)
+        x.sigmoid().sum().backward()
+        s = 1.0 / (1.0 + np.exp(-0.5))
+        assert np.isclose(x.grad[0], s * (1.0 - s))
 
     @pytest.mark.parametrize("cout", [1, 3])
     def test_conv_input_made_under_no_graph_gets_no_gradient(self, monkeypatch, cout):
@@ -228,7 +232,7 @@ class TestNoGraph:
 
         def grads(x):
             kernel, bias = Tensor(k0), Tensor(np.zeros(cout, np.float32))
-            conv2d(x, kernel, bias, stride=2).tanh().sum().backward()
+            conv2d(x, kernel, bias, stride=2).sigmoid().sum().backward()
             return kernel.grad.tobytes(), bias.grad.tobytes()
 
         recording = Tensor(x0)
@@ -255,8 +259,8 @@ class TestNoGraph:
         with no_graph():
             with no_graph():
                 pass
-            assert Tensor([1.0]).tanh()._parents == ()
-        assert Tensor([1.0]).tanh()._parents != ()
+            assert Tensor([1.0]).sigmoid()._parents == ()
+        assert Tensor([1.0]).sigmoid()._parents != ()
 
 
 class TestFiniteDiff:
@@ -269,8 +273,14 @@ class TestFiniteDiff:
         assert np.all(np.abs(n.data) < 1e-6)
 
     def test_tanh_at_zero(self):
-        n = finite_diff_grad(lambda t: t.tanh().sum().item(), Tensor([0.0]), 1e-3)
-        assert abs(n.data[0] - 1.0) < 1e-4
+        # Inference batchnorm at mean 0, variance 1, eps 0, gamma 1 and beta 0 is tanh.
+        one, zero = np.ones(1, np.float32), np.zeros(1, np.float32)
+
+        def tanh(t):
+            return batchnorm(t, Tensor(one), Tensor(zero), zero, one, 0.99, 0.0, False).sum().item()
+
+        n = finite_diff_grad(tanh, Tensor(np.zeros((1, 1, 1, 1), np.float32)), 1e-3)
+        assert abs(n.data.item() - 1.0) < 1e-4
 
     def test_indices_perturb_only_those_elements_in_order(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3) / 10)
@@ -293,14 +303,16 @@ class TestFiniteDiff:
         x.clip(-0.5, 0.5).sum().backward()
         assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "tanh", "sigmoid",
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "batchnorm", "sigmoid",
                                     "log", "clip", "pow_scalar",
                                     "sum", "mean"])
     def test_registered_ops_match_fd(self, op):
         eps = 1e-3
         # A stable seed per op: str hashes change from process to process.
         rng = np.random.default_rng(zlib.crc32(op.encode()))
-        data = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
+        # batchnorm (with its tanh) takes a 4-D input: three channels of four values.
+        shape = (1, 3, 2, 2) if op == "batchnorm" else (3, 4)
+        data = rng.uniform(-1, 1, shape).astype(np.float32)
         if op == "clip":
             # A central difference within eps of a kink at +-0.5 straddles it;
             # move such elements 3*eps to the side of the kink they are on.
@@ -310,13 +322,15 @@ class TestFiniteDiff:
                             data).astype(np.float32)
             assert np.abs(np.abs(data) - 0.5).min() >= 2 * eps
         x = Tensor(data)
-        other = Tensor(rng.uniform(0.5, 1.5, (3, 4)).astype(np.float32))
+        other = Tensor(rng.uniform(0.5, 1.5, shape).astype(np.float32))
+        gamma, beta = Tensor(np.ones(3, np.float32)), Tensor(np.zeros(3, np.float32))
         fns = {
             "add": lambda t: (t + other).sum(),
             "sub": lambda t: (t - other).sum(),
             "mul": lambda t: (t * other).sum(),
             "div": lambda t: (t / other).sum(),
-            "tanh": lambda t: t.tanh().sum(),
+            "batchnorm": lambda t: (batchnorm(t, gamma, beta, np.zeros(3, np.float32),
+                                              np.ones(3, np.float32), 0.99, 1e-5, True) * other).sum(),
             "sigmoid": lambda t: t.sigmoid().sum(),
             "log": lambda t: (t + 2.0).log().sum(),
             "clip": lambda t: t.clip(-0.5, 0.5).sum(),
@@ -1022,6 +1036,7 @@ class TestSampleRanges:
         x0 = (rng.standard_normal(shape) * 1.7 + 0.4).astype(np.float32)
         x0[:, 1] = 0.3  # a zero-variance channel
         gamma0 = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        gamma0[-1] = 20.0  # the tanh saturates: y = +-1 and 1 - y*y = 0
         beta0 = rng.uniform(-0.3, 0.3, c).astype(np.float32)
         g0 = rng.standard_normal(shape).astype(np.float32)
         stats0 = rng.uniform(0.5, 2.0, (2, c)).astype(np.float32)
@@ -1041,8 +1056,7 @@ class TestSampleRanges:
         rng = np.random.default_rng([48, batch])
         x0 = rng.uniform(-3.0, 3.0, (batch, 3, 7, 5)).astype(np.float32)
         x0[..., 0] = 0.0
-        ops = {"power_expand": lambda t: power_expand(t, 3), "tanh": Tensor.tanh,
-               "sigmoid": Tensor.sigmoid}
+        ops = {"power_expand": lambda t: power_expand(t, 3), "sigmoid": Tensor.sigmoid}
         g0 = {name: rng.standard_normal((batch, 9 if name == "power_expand" else 3, 7, 5))
               .astype(np.float32) for name in ops}
 
@@ -1179,7 +1193,6 @@ class TestSampleRanges:
                 lambda x: batchnorm(x, ones, zeros, np.zeros(6, np.float32), np.ones(6, np.float32),
                                     0.9, 1e-5, True))),
             ("power_expand", "_SPLIT_MIN_BYTES", x0.nbytes, loss_of(lambda x: power_expand(x, 3))),
-            ("tanh", "_SPLIT_MIN_BYTES", x0.nbytes, loss_of(Tensor.tanh)),
             ("sigmoid", "_SPLIT_MIN_BYTES", x0.nbytes, loss_of(Tensor.sigmoid)),
             ("adam", "_SPLIT_MIN_BYTES", 3 * 4 * optim_mod.BLOCK, opt.step),
             ("conv2d", "_SPLIT_MIN_MACS", kernel.size * 3 * 2, loss_of(
@@ -1360,8 +1373,9 @@ class TestBatchnormOp:
         x = Tensor((rng.uniform(-1, 1, (4, 2, 5, 5)) * 3 + 1).astype(np.float32))
         out = batchnorm(x, Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32)),
                         np.zeros(2, np.float32), np.ones(2, np.float32), 0.99, 1e-5, True)
-        mean = out.data.mean(axis=(0, 2, 3))
-        var = out.data.var(axis=(0, 2, 3))
+        normalized = np.arctanh(out.data.astype(np.float64))  # the op ends in tanh
+        mean = normalized.mean(axis=(0, 2, 3))
+        var = normalized.var(axis=(0, 2, 3))
         assert np.abs(mean).max() < 1e-5
         assert np.abs(var - 1.0).max() < 1e-3
 
@@ -1380,7 +1394,7 @@ class TestBatchnormOp:
         rv = np.array([4.0], np.float32)
         out = batchnorm(x, Tensor(np.ones(1, np.float32)), Tensor(np.zeros(1, np.float32)),
                         rm, rv, 0.99, 0.0, False)
-        assert np.allclose(out.data, (3.0 - 1.0) / 2.0)
+        assert np.allclose(out.data, np.tanh((3.0 - 1.0) / 2.0))
         assert rm[0] == 1.0 and rv[0] == 4.0  # untouched
 
     def test_inference_node_is_graph_free_and_refuses_backward(self):
@@ -1414,7 +1428,7 @@ class TestBatchnormOp:
         beta = Tensor(np.array([0.25], np.float32))
         out = batchnorm(x, Tensor(np.ones(1, np.float32)), beta,
                         np.zeros(1, np.float32), np.ones(1, np.float32), 0.99, 1e-5, True)
-        assert np.allclose(out.data, 0.25, atol=1e-6)
+        assert np.allclose(out.data, np.tanh(0.25), atol=1e-6)
 
     def test_grads_match_fd(self):
         rng = np.random.default_rng(12)
@@ -1442,11 +1456,12 @@ class TestBatchnormOp:
 
 
 def batchnorm_reference(x, gamma, beta, running_mean, running_var, momentum, eps, training, g):
-    """Batchnorm as whole-tensor expressions, with its hand-derived backward.
+    """tanh of batchnorm as whole-tensor expressions, with its hand-derived backward.
 
     The channel-blocked op must give these bytes. Updates the running
-    statistics in place as the op does and returns y, plus the gamma, beta
-    and input gradients for upstream gradient g in training mode.
+    statistics in place as the op does and returns h = tanh(y), plus the
+    gamma, beta and input gradients for upstream gradient g in training
+    mode: batchnorm's backward of g * (1 - h*h), tanh's gradient.
     """
     c = x.shape[1]
     axes = (0, 2, 3)
@@ -1463,15 +1478,17 @@ def batchnorm_reference(x, gamma, beta, running_mean, running_var, momentum, eps
     inv = (1.0 / np.sqrt(var + eps)).astype(np.float32).reshape(1, c, 1, 1)
     xhat = (x - mu.astype(np.float32).reshape(1, c, 1, 1)) * inv
     y = gamma.reshape(1, c, 1, 1) * xhat + beta.reshape(1, c, 1, 1)
+    h = np.tanh(y)
     if not training:
-        return (y,)
-    dgamma = (g * xhat).sum(axis=axes, dtype=np.float64).astype(np.float32)
-    dbeta = g.sum(axis=axes, dtype=np.float64).astype(np.float32)
-    gs = g * gamma.reshape(1, c, 1, 1)
+        return (h,)
+    dy = g * (1 - h * h)
+    dgamma = (dy * xhat).sum(axis=axes, dtype=np.float64).astype(np.float32)
+    dbeta = dy.sum(axis=axes, dtype=np.float64).astype(np.float32)
+    gs = dy * gamma.reshape(1, c, 1, 1)
     mean_gs = gs.mean(axis=axes, dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
     mean_gs_xhat = (gs * xhat).mean(axis=axes, dtype=np.float64)
     mean_gs_xhat = mean_gs_xhat.astype(np.float32).reshape(1, c, 1, 1)
-    return y, dgamma, dbeta, inv * (gs - mean_gs - xhat * mean_gs_xhat)
+    return h, dgamma, dbeta, inv * (gs - mean_gs - xhat * mean_gs_xhat)
 
 
 class TestBatchnormChannelBlocks:
@@ -1541,9 +1558,9 @@ class TestBatchnormChannelBlocks:
                 peaks.append((tracemalloc.get_traced_memory()[1] - base) / x.data.nbytes)
         finally:
             tracemalloc.stop()
-        # Forward keeps y; backward makes the input gradient. The rest is one
-        # channel block's buffer: xhat is formed a block at a time, and again
-        # in the backward.
+        # Forward keeps its output, tanh's; backward makes the input gradient
+        # and forms tanh's gradient in it. The rest is one channel block's
+        # buffer: xhat is formed a block at a time, and again in the backward.
         assert peaks[0] < 2.0 and peaks[1] < 2.0, peaks
 
 
