@@ -4,6 +4,28 @@ Dice is computed per image and averaged over the batch; focal is a plain
 mean over pixels. Both are O(1) regardless of resolution, so their sum is a
 balanced objective at any image size. ``DICE_SMOOTH`` smooths dice's ratio
 and ``PROB_CLIP`` keeps focal's logarithms finite; both are fixed.
+
+Each loss is one graph node whose only parent is the prediction q, so the
+mask gets no gradient. The forward is the float32 expression of the
+formula, each sum taken in float64 and rounded to float32. The backward
+forms dL/dq in closed form, g being the upstream gradient times 1/N (dice,
+N images) or 1/size (focal):
+
+- dice, per image, with n = 2 sum(p q) + DICE_SMOOTH and d = sum(p) +
+  sum(q) + DICE_SMOOTH: ``(-g / d * 2) * p + g * n / (d * d)``, the
+  intersection term, then the total term;
+- focal, with c the clipped q, r = 1 - c, G = gamma and k = g * (-alpha),
+  m = g * (-(1 - alpha)): ``k r^G p / c - k (p log c) (G r^(G-1))
+  - m c^G (1 - p) / r + m ((1 - p) log r) (G c^(G-1))``, the terms through
+  log c, r^G, log r and c^G, times the clip mask (0 where q is outside
+  (PROB_CLIP, 1 - PROB_CLIP)).
+
+These are the bits of reverse mode through the formula taken one
+elementwise float32 operation at a time: each term multiplies its factors
+in the order such a walk multiplies them (left to right above), and the
+terms are added in the order it reaches them. With a binary mask at most two
+of focal's terms are non-zero at a pixel; all four are formed, so a zero
+keeps its sign too.
 """
 
 from __future__ import annotations
@@ -12,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, _accumulate
 
 DICE_SMOOTH = 1e-6
 PROB_CLIP = 1e-7
@@ -45,6 +67,11 @@ def _check_binary(p: Tensor, op: str) -> None:
         raise ValueError(f"{op}: ground-truth mask must be binary, found value {bad}")
 
 
+def _sum32(x: np.ndarray, axis=None) -> np.ndarray:
+    """x summed over axis in float64, rounded to float32."""
+    return np.asarray(x.sum(axis=axis, dtype=np.float64), dtype=np.float32)
+
+
 def dice_loss(p: Tensor, q: Tensor) -> Tensor:
     """1 - dice overlap, averaged over the batch.
 
@@ -55,11 +82,22 @@ def dice_loss(p: Tensor, q: Tensor) -> Tensor:
     """
     _check_pair(p, q, "dice_loss")
     _check_binary(p, "dice_loss")
-    axes = (1, 2, 3) if p.data.ndim == 4 else None
-    inter = (p * q).sum(axis=axes)
-    total = p.sum(axis=axes) + q.sum(axis=axes)
-    per_image = 1.0 - (2.0 * inter + DICE_SMOOTH) / (total + DICE_SMOOTH)
-    return per_image.mean() if axes is not None else per_image
+    y = p.data
+    axes, image = ((1, 2, 3), (-1, 1, 1, 1)) if y.ndim == 4 else (None, ())
+    num = _sum32(y * q.data, axes) * np.float32(2.0) + np.float32(DICE_SMOOTH)
+    den = _sum32(y, axes) + _sum32(q.data, axes) + np.float32(DICE_SMOOTH)
+    per_image = 1.0 - num / den
+    scale = np.float32(1.0 / per_image.size)
+
+    def bwd(g):
+        g = g * scale
+        g_inter = -g / den * np.float32(2.0)
+        g_total = g * num / (den * den)
+        dq = g_inter.reshape(image) * y
+        dq += g_total.reshape(image)
+        _accumulate(q, dq, owned=True)
+
+    return Tensor(_sum32(per_image) * scale, (q,), "dice", bwd)
 
 
 def focal_loss(p: Tensor, q: Tensor, gamma: float = LossConfig.gamma,
@@ -71,10 +109,29 @@ def focal_loss(p: Tensor, q: Tensor, gamma: float = LossConfig.gamma,
     """
     _check_gamma(gamma)
     _check_pair(p, q, "focal_loss")
-    qc = q.clip(PROB_CLIP, 1.0 - PROB_CLIP)
-    pos = p * qc.log() * (1.0 - qc).pow_scalar(gamma) * (-alpha)
-    neg = (1.0 - p) * (1.0 - qc).log() * qc.pow_scalar(gamma) * (-(1.0 - alpha))
-    return (pos + neg).mean()
+    y = p.data
+    qc = np.clip(q.data, PROB_CLIP, 1.0 - PROB_CLIP)
+    rest = 1.0 - qc
+    power = np.float32(gamma)
+    pos_pow, neg_pow = rest ** power, qc ** power
+    pos_log, neg_log = y * np.log(qc), (1.0 - y) * np.log(rest)
+    pos_w, neg_w = np.float32(-alpha), np.float32(-(1.0 - alpha))
+    scale = np.float32(1.0 / y.size)
+    value = _sum32(pos_log * pos_pow * pos_w + neg_log * neg_pow * neg_w) * scale
+
+    def bwd(g):
+        g = g * scale
+        pos_g, neg_g = g * pos_w, g * neg_w
+        slope = np.float32(gamma - 1.0)
+        # The terms through log c, r^G, log r and c^G, in that order.
+        dq = pos_g * pos_pow * y / qc
+        dq -= pos_g * pos_log * (power * rest ** slope)
+        dq -= neg_g * neg_pow * (1.0 - y) / rest
+        dq += neg_g * neg_log * (power * qc ** slope)
+        dq *= ((q.data > PROB_CLIP) & (q.data < 1.0 - PROB_CLIP)).astype(np.float32)
+        _accumulate(q, dq, owned=True)
+
+    return Tensor(value, (q,), "focal", bwd)
 
 
 def hybrid_loss(p: Tensor, q: Tensor, config: LossConfig | None = None) -> Tensor:

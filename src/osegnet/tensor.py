@@ -3,9 +3,13 @@
 Every value is a numpy float32 array wrapped in a :class:`Tensor`. Operations
 build a computation graph on the fly; calling ``backward()`` on a scalar loss
 walks that graph once in reverse topological order and accumulates gradients
-into ``.grad``. The heavy kernels (conv2d and its transpose) are written in
-im2col/col2im form, or on the padded grid for one channel, so the inner
-loops run as BLAS matmuls with a fixed summation order. Both are
+into ``.grad``. Besides the network's ops, ``Tensor`` has only add,
+multiply (either operand may be a single element) and a full sum: the
+hybrid loss adds its two terms, and the gradient checks project an op's
+output onto a scalar. Each loss is one node of its own, with a closed-form
+backward (``losses``). The heavy kernels (conv2d and its transpose) are
+written in im2col/col2im form, or on the padded grid for one channel, so
+the inner loops run as BLAS matmuls with a fixed summation order. Both are
 same-padded and always add a per-channel bias, the one form the network
 uses. Reductions accumulate in float64 and round the result back to float32.
 
@@ -387,19 +391,6 @@ class Tensor:
 
         return Tensor(self.data + other.data, (self, other), "add", bwd)
 
-    def __sub__(self, other):
-        other = Tensor._lift(other)
-        Tensor._check_elementwise(self, other, "sub")
-
-        def bwd(g):
-            _accumulate(self, Tensor._reduce_to(g, self.shape))
-            _accumulate(other, Tensor._reduce_to(-g, other.shape))
-
-        return Tensor(self.data - other.data, (self, other), "sub", bwd)
-
-    def __rsub__(self, other):
-        return Tensor._lift(other) - self
-
     def __mul__(self, other):
         other = Tensor._lift(other)
         Tensor._check_elementwise(self, other, "mul")
@@ -412,55 +403,15 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = Tensor._lift(other)
-        Tensor._check_elementwise(self, other, "div")
-
-        def bwd(g):
-            _accumulate(self, Tensor._reduce_to(g / other.data, self.shape))
-            _accumulate(other, Tensor._reduce_to(-g * self.data / (other.data * other.data), other.shape))
-
-        return Tensor(self.data / other.data, (self, other), "div", bwd)
-
-    def pow_scalar(self, p: float) -> "Tensor":
-        """Elementwise real power for strictly positive inputs."""
-        def bwd(g):
-            _accumulate(self, g * (np.float32(p) * self.data ** np.float32(p - 1.0)))
-
-        return Tensor(self.data ** np.float32(p), (self,), f"pow{p}", bwd)
-
-    def log(self) -> "Tensor":
-        def bwd(g):
-            _accumulate(self, g / self.data)
-
-        return Tensor(np.log(self.data), (self,), "log", bwd)
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        """Clamp values into [lo, hi]; gradient flows only strictly inside."""
-        mask = ((self.data > lo) & (self.data < hi)).astype(np.float32)
-
-        def bwd(g):
-            _accumulate(self, g * mask)
-
-        return Tensor(np.clip(self.data, lo, hi), (self,), "clip", bwd)
-
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None) -> "Tensor":
-        value = self.data.sum(axis=axis, dtype=np.float64)
+    def sum(self) -> "Tensor":
+        value = self.data.sum(dtype=np.float64)
 
         def bwd(g):
-            if axis is None:
-                _accumulate(self, np.broadcast_to(g.reshape(()), self.shape))
-            else:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                expanded = np.expand_dims(g, axes)
-                _accumulate(self, np.broadcast_to(expanded, self.shape))
+            _accumulate(self, np.broadcast_to(g.reshape(()), self.shape))
 
         return Tensor(np.asarray(value, dtype=np.float32), (self,), "sum", bwd)
-
-    def mean(self) -> "Tensor":
-        return self.sum() * (1.0 / self.data.size)
 
     # -- activations ---------------------------------------------------------
 

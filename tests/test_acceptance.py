@@ -398,6 +398,14 @@ def test_training_step_peak_holds_no_batchnorm_output(step_peak_mib):
     assert step_peak_mib <= 125, f"{step_peak_mib:.1f} MiB"
 
 
+def test_training_step_peak_holds_no_loss_graph(step_peak_mib):
+    """The same step peaks at 112 MiB at most: dice and focal are one node
+    each, whose backward closures are dropped once walked, so nothing of
+    the loss is alive through the final layer's backward. A loss subgraph
+    of elementwise nodes would hold 12.3 MiB there, which breaks the bound."""
+    assert step_peak_mib <= 112, f"{step_peak_mib:.1f} MiB"
+
+
 def test_cli_subprocess_imports_the_tested_package(tmp_path):
     """Negative control for ``cli``: a child started like it, from a working
     directory outside the repo, must import the very package this suite tests,

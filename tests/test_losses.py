@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from osegnet.losses import DICE_SMOOTH, PROB_CLIP, LossConfig, dice_loss, focal_loss, hybrid_loss
-from osegnet.tensor import ShapeError, Tensor
+from osegnet.tensor import ShapeError, Tensor, no_graph
 
 
 def t(values, shape=None):
@@ -131,9 +131,12 @@ class TestFocal:
         assert confident_wrong > 100 * confident_right
 
     def test_extreme_probabilities_stay_finite(self):
-        loss = focal_loss(t([1.0, 0.0]), t([0.0, 1.0]))
+        q = t([0.0, 1.0, 1.0, 0.0])
+        loss = focal_loss(t([1.0, 0.0, 1.0, 0.0]), q)
         assert np.isfinite(loss.item())
         loss.backward()
+        # The clip pins q at 0 and 1, so no gradient flows to those pixels.
+        assert np.all(q.grad == 0.0)
 
     def test_gradient_direction(self):
         q = Tensor(np.array([0.3], np.float32))
@@ -162,3 +165,13 @@ class TestHybrid:
         q = Tensor(np.full(4, 0.4, dtype=np.float32))
         hybrid_loss(p, q).backward()
         assert np.all(q.grad != 0.0)
+
+    def test_mask_gets_no_gradient(self):
+        # The CLI makes its mask under no_graph(), a leaf with no gradient
+        # buffer: the losses' one parent is the prediction, so it keeps none.
+        rng = np.random.default_rng(3)
+        with no_graph():
+            y = Tensor((rng.random((2, 1, 4, 4)) > 0.5).astype(np.float32))
+        x = Tensor(rng.normal(size=(2, 1, 4, 4)).astype(np.float32))
+        hybrid_loss(y, x.sigmoid()).backward()
+        assert y.grad is None and x.grad.any()

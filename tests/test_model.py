@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from osegnet import model as model_mod
+from osegnet.losses import hybrid_loss
 from osegnet.model import (CANONICAL_DECODER, CANONICAL_ENCODER, KERNEL_SIZE, CheckpointError,
                            ModelConfig, OSegNetModel, build_model, count_params,
                            load_checkpoint, save_checkpoint)
@@ -168,7 +169,7 @@ class TestParameterAccounting:
     def test_zero_grad_clears_all(self):
         model, _ = tiny_model()
         x = Tensor(np.random.default_rng(8).uniform(0, 1, (1, 1, 16, 16)).astype(np.float32))
-        model(x, training=True).mean().backward()
+        model(x, training=True).sum().backward()
         assert any(t.grad.any() for t in model.parameters())
         model.zero_grad()
         assert not any(t.grad.any() for t in model.parameters())
@@ -220,7 +221,7 @@ class TestCheckpoint:
     def test_roundtrip_preserves_forward_bitwise(self, tmp_path):
         model, cfg = tiny_model(seed=9)
         x = Tensor(np.random.default_rng(10).uniform(0, 1, (2, 1, 16, 16)).astype(np.float32))
-        model(x, training=True).mean().backward()  # perturb running stats
+        model(x, training=True).sum().backward()  # perturb running stats
         before = model(x).data.copy()
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
@@ -238,7 +239,7 @@ class TestCheckpoint:
         for m in (model, loaded):
             opt = Adam(m.named_parameters(), lr=1e-3)
             m.zero_grad()
-            m(x, training=True).mean().backward()
+            m(x, training=True).sum().backward()
             opt.step()
         for (n, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
             assert a.data.tobytes() == b.data.tobytes(), n
@@ -393,7 +394,7 @@ def training_grads(model, x):
     out = model(x, training=True)
     nodes = graph_nodes(out)
     model.zero_grad()
-    out.mean().backward()
+    out.sum().backward()
     return nodes, [t.grad.tobytes() for t in model.parameters()]
 
 
@@ -456,7 +457,7 @@ class TestInferenceMode:
         assert out._parents == () and out._backward_fn is None and out.grad is None
         assert graph_nodes(out) == 1
         with pytest.raises(RuntimeError, match="inference mode"):
-            out.mean().backward()
+            out.sum().backward()
         assert [t.grad.tobytes() for t in model.parameters()] == before
 
     def test_training_after_inference_builds_the_full_graph(self):
@@ -467,6 +468,16 @@ class TestInferenceMode:
         nodes, grads = training_grads(model, x)
         assert nodes == fresh_nodes == 71
         assert grads == fresh
+
+    def test_the_loss_adds_three_nodes_to_the_graph(self):
+        # dice and focal are one node each on the prediction, and their sum a
+        # third; the mask, made under no_graph() as the CLI makes it, is none.
+        rng = np.random.default_rng(28)
+        x = Tensor(rng.uniform(0, 1, (2, 1, 32, 32)).astype(np.float32))
+        with no_graph():
+            y = Tensor((rng.uniform(0, 1, (2, 1, 32, 32)) < 0.1).astype(np.float32))
+        out = canonical_32()(x, training=True)
+        assert graph_nodes(hybrid_loss(y, out)) == graph_nodes(out) + 3 == 74
 
     def test_training_after_a_failed_inference_builds_the_full_graph(self, monkeypatch):
         x = Tensor(np.random.default_rng(25).uniform(0, 1, (2, 1, 32, 32)).astype(np.float32))
