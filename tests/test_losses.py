@@ -82,6 +82,12 @@ class TestDice:
         with pytest.raises(ShapeError):
             dice_loss(t([1, 0]), t([1, 0, 0]))
 
+    def test_gradient_hand_value(self):
+        # n = 2*1, d = 2 + 1: dL/dq = -2 p / d + n / d^2 = -2/3 p + 2/9
+        q = t([1, 0, 0, 0])
+        dice_loss(t([1, 1, 0, 0]), q).backward()
+        assert np.allclose(q.grad, [-4 / 9, -4 / 9, 2 / 9, 2 / 9], rtol=0, atol=1e-6)
+
     def test_gradient_pushes_toward_mask(self):
         p = t([1, 0, 1, 0])
         q = Tensor(np.full(4, 0.5, dtype=np.float32))
@@ -143,6 +149,15 @@ class TestFocal:
         focal_loss(t([1.0]), q).backward()
         assert q.grad[0] < 0  # increase q toward the positive label
 
+    def test_gradient_hand_value(self):
+        # d/dq of -a (1-q)^2 log q and of -(1-a) q^2 log(1-q), each halved by the mean.
+        a, v = 0.25, 0.9
+        pos = -a * ((1 - v) ** 2 / v - 2 * (1 - v) * np.log(v)) / 2
+        neg = -(1 - a) * (2 * v * np.log(1 - v) - v ** 2 / (1 - v)) / 2
+        q = t([v, v])
+        focal_loss(t([1.0, 0.0]), q, gamma=2.0, alpha=a).backward()
+        assert np.allclose(q.grad, [pos, neg], rtol=1e-5, atol=0)
+
 
 class TestHybrid:
     def test_exact_sum_of_parts(self):
@@ -175,3 +190,37 @@ class TestHybrid:
         x = Tensor(rng.normal(size=(2, 1, 4, 4)).astype(np.float32))
         hybrid_loss(y, x.sigmoid()).backward()
         assert y.grad is None and x.grad.any()
+
+    @pytest.mark.parametrize("loss", [dice_loss, focal_loss])
+    def test_each_loss_is_one_node_on_the_prediction(self, loss):
+        p, q = t([1, 0, 1, 0]), t([0.6, 0.3, 0.8, 0.1])
+        node = loss(p, q)
+        assert len(node._parents) == 1 and node._parents[0] is q
+        node.backward()
+        # The walk releases the node, as it does any interior node.
+        with pytest.raises(RuntimeError, match="released"):
+            node.backward()
+
+    def test_gradient_is_the_sum_of_the_parts_bitwise(self):
+        rng = np.random.default_rng(4)
+        p = (rng.random((2, 1, 4, 4)) > 0.5).astype(np.float32)
+        q = rng.uniform(0.05, 0.95, (2, 1, 4, 4)).astype(np.float32)
+        grads = []
+        for loss in (dice_loss, focal_loss, hybrid_loss):
+            x = Tensor(q)
+            loss(Tensor(p), x).backward()
+            grads.append(x.grad)
+        assert (grads[0] + grads[1]).tobytes() == grads[2].tobytes()
+
+    def test_no_graph_keeps_the_value_and_records_nothing(self):
+        rng = np.random.default_rng(5)
+        p = (rng.random((2, 1, 4, 4)) > 0.5).astype(np.float32)
+        q = rng.uniform(0.05, 0.95, (2, 1, 4, 4)).astype(np.float32)
+        recorded = hybrid_loss(Tensor(p), Tensor(q))
+        with no_graph():
+            x = Tensor(q)
+            loss = hybrid_loss(Tensor(p), x)
+        assert loss.data.tobytes() == recorded.data.tobytes()
+        assert loss._parents == () and x.grad is None
+        with pytest.raises(RuntimeError, match="inference mode"):
+            loss.backward()

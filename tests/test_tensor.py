@@ -283,14 +283,16 @@ class TestFiniteDiff:
         assert np.array_equal(part.reshape(-1)[[4, 1]], full.reshape(-1)[[4, 1]])
         assert not np.delete(part.reshape(-1), [4, 1]).any()
 
-    @pytest.mark.parametrize("op", ["add", "mul", "batchnorm", "sigmoid", "sum", "dice", "focal"])
+    @pytest.mark.parametrize("op", ["add", "mul", "batchnorm", "sigmoid", "sum", "dice",
+                                    "dice_batch", "focal", "focal_weighted"])
     def test_registered_ops_match_fd(self, op):
         eps = 1e-3
         # A stable seed per op: str hashes change from process to process.
         rng = np.random.default_rng(zlib.crc32(op.encode()))
-        # batchnorm (with its tanh) takes a 4-D input: three channels of four values.
-        shape = (1, 3, 2, 2) if op == "batchnorm" else (3, 4)
-        if op in ("dice", "focal"):
+        # batchnorm (with its tanh) takes a 4-D input: three channels of four values;
+        # dice_batch a batch of two one-channel 2x3 images, reduced per image.
+        shape = {"batchnorm": (1, 3, 2, 2), "dice_batch": (2, 1, 2, 3)}.get(op, (3, 4))
+        if op.startswith(("dice", "focal")):
             # Probabilities against a binary mask; dice takes a 2-D input as one image.
             data = rng.uniform(0.1, 0.9, shape)
         else:
@@ -307,7 +309,10 @@ class TestFiniteDiff:
             "sigmoid": lambda t: t.sigmoid().sum(),
             "sum": lambda t: t.sum(),
             "dice": lambda t: dice_loss(mask, t),
+            "dice_batch": lambda t: dice_loss(mask, t),
             "focal": lambda t: focal_loss(mask, t),
+            # A non-integer gamma and an alpha above one half take the general powers.
+            "focal_weighted": lambda t: focal_loss(mask, t, gamma=1.5, alpha=0.6),
         }
         fn = fns[op]
         loss = fn(x)
