@@ -220,6 +220,9 @@ def cmd_train(args) -> int:
                     print(f"aborting: non-finite loss at epoch {epoch}; "
                           f"last-good checkpoint kept at {ckpt_path}", file=sys.stderr)
                     return 1
+                # The output is read before the backward, which may release
+                # the graph it walks; a failed step counts nothing.
+                counts = pixel_confusion(out.data, y.data, cfg.threshold)
                 model.zero_grad()
                 loss.backward()
                 try:
@@ -229,7 +232,7 @@ def cmd_train(args) -> int:
                           f"last-good checkpoint kept at {ckpt_path}", file=sys.stderr)
                     return 1
                 losses.append(value)
-                epoch_counts += pixel_confusion(out.data, y.data, cfg.threshold)
+                epoch_counts += counts
                 # Drop this step's graph before the next batch is built, so one
                 # graph at a time is alive.
                 del x, y, out, loss

@@ -11,7 +11,9 @@ backward (``losses``). The heavy kernels (conv2d and its transpose) are
 written in im2col/col2im form, or on the padded grid for one channel, so
 the inner loops run as BLAS matmuls with a fixed summation order. Both are
 same-padded and always add a per-channel bias, the one form the network
-uses. Reductions accumulate in float64 and round the result back to float32.
+uses. Reductions (the full sum, the bias gradients, batchnorm's statistics)
+accumulate in float64 and round the result back to float32; the
+convolutions' weight gradients add float32 products in float32 (below).
 
 Both convolutions run on one lowering and its adjoint, and the two kernels
 own the same-padding geometry: ``_lower`` computes ``w2 @ im2col(x)``, the
@@ -26,7 +28,9 @@ input gradient and its weight gradient from one lowering. The two ops only
 check their operands (one check for both), add the bias and wire the graph.
 No columns outlive the call that built them: the graph holds the
 convolution's input, which the backward lowers again, and the weight
-gradient adds the per-sample float32 products in batch order in float64.
+gradient adds the per-sample float32 products in batch order in float32
+(each product's own K-term rounding bound dwarfs those N - 1 additions, so
+a float64 total would buy no accuracy).
 Every sample goes through the same BLAS call as it would in a batch of its
 own, so a sample's output and input gradient do not depend on the batch it
 is in.
@@ -50,7 +54,7 @@ Anything else, and a batch of one, runs inline. Every sample, channel and
 element goes through the numpy calls it would go through alone, so the bits
 do not depend on the number of ranges. The weight-gradient products run
 side by side exactly when the batch splits: they go into one buffer of the
-batch's and are then added in batch order in float64, as an unsplit batch
+batch's and are then added in batch order in float32, as an unsplit batch
 adds each one as it is formed. glibc gets one malloc arena (below), so the
 pool's threads reuse the main heap, and a forked child makes a fresh pool
 at its first split, since the parent's threads do not exist there.
@@ -540,14 +544,20 @@ def _lower(x, k, stride, w2=None, outer=None):
 
     x: (N, C, H, W); w2: (Cout, C*k*k); outer: (N, Cout, h_out*w_out).
     Returns (y, dw), each None unless asked for: y as (N, Cout, h_out,
-    w_out), and dw, the float64 (Cout, C*k*k) weight gradient, the sum over
+    w_out), and dw, the float32 (Cout, C*k*k) weight gradient, the sum over
     samples of outer[n] @ cols[n].T, adding the float32 products in batch
-    order onto float64 zeros. The input gradient is _adjoint's. Each sample
+    order onto float32 zeros. A float64 total would buy no accuracy: each
+    product is already a float32 GEMM of K terms (K = h_out*w_out, or the
+    padded grid below), whose error bound gamma_K dwarfs the N - 1
+    roundings of the batch sum (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 3.1); and numpy's mixed float32 to float64 add costs about
+    four times a float32 add. The input gradient is _adjoint's. Each sample
     range (_split) builds its samples' columns into a buffer of its own,
     once, forms from it whatever was asked, and frees it: nothing outlives
     the call but y and dw. When the batch splits, the products go side by
-    side into one buffer of the batch's and are added after; else they are
-    formed and added one at a time on the calling thread.
+    side into one buffer of the batch's and are added after, in batch
+    order; else they are formed and added one at a time on the calling
+    thread. Either way dw is the same float32 sum, whatever the pool width.
 
     With one row in w2 (one in outer) no columns are built and each sample
     goes through its own BLAS calls on its padded grid, copied into a buffer
@@ -564,7 +574,7 @@ def _lower(x, k, stride, w2=None, outer=None):
     work = cout * rows * (hw if cout > 1 else hp * wp)
     width = _ranges(n, work, _SPLIT_MIN_MACS)
     y = None if w2 is None else np.empty((n, cout, hw), dtype=np.float32)
-    dw = None if outer is None else np.zeros((cout, rows))
+    dw = None if outer is None else np.zeros((cout, rows), dtype=np.float32)
     # The products go side by side exactly when the batch splits.
     parts = None if outer is None else np.empty((n if width > 1 else 1, cout, rows), dtype=np.float32)
 
@@ -685,7 +695,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     def bwd(g):
         g3 = g.reshape(*g.shape[:2], -1)
         _, dw = _lower(x.data, k, stride, outer=g3)
-        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
+        _accumulate(kernels, dw.reshape(kernels.shape), owned=True)
         _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
         # A leaf made under no_graph() (a batch input) has no gradient buffer:
         # nothing reads its gradient, so none is computed.
@@ -709,7 +719,7 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) 
 
     def bwd(g):
         dx, dw = _lower(g, k, stride, w2=w2, outer=x.data.reshape(n, cin, h * w))
-        _accumulate(kernels, dw.astype(np.float32).reshape(kernels.shape))
+        _accumulate(kernels, dw.reshape(kernels.shape), owned=True)
         _accumulate(x, dx, owned=True)
         _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
 

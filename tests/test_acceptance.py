@@ -309,14 +309,20 @@ def test_criterion_9_brute_force_oracle():
            f"{agree}, {elapsed:.0f}s")
 
 
-# sha256 of one canonical Q=3 training step at 224 px: the output, the loss
-# and every parameter's name and gradient, in registration order (model seed
-# 0; image and a 10% pixel mask from default_rng(batch), made as the CLI makes
-# a batch). Batch 4 and batch 8 give the final layer and decoder block 5's
-# transpose their training shapes at two batch sizes.
+# sha256 of one canonical Q=3 training step at 224 px (model seed 0; image
+# and a 10% pixel mask from default_rng(batch), made as the CLI makes a
+# batch), as two digests. The first covers the output, the loss and every
+# parameter's name and gradient but the kernels', in registration order; the
+# second each kernel's name and gradient. The kernel gradients add their
+# per-sample products in float32, in batch order; the rest of the step never
+# sees that sum, so the first digest is also that of a float64 batch sum.
+# Batch 4 and batch 8 give the final layer and decoder block 5's transpose
+# their training shapes at two batch sizes.
 TRAIN_STEP_SHA256 = {
-    4: "77529b61a376559435aadef469b5b23d4ca08c122568ed8c787421c7177123ae",
-    8: "40035f57d85a10b3193ac642ea00cfcfcd461263a9bc2da56a0252ab3b86bfd4",
+    4: ("43a27504a30c48a2ad94545f1d29df7c3b56728a17416c633f29eb79bdcdeace",
+        "1539c5f9743ed07d87498770d208c89fa4d027ba4d1b927b48cde3141b04cf42"),
+    8: ("b5a1f7048872fc93ff11330aadea6ad9d644577843d6403373b6704f7c730358",
+        "faf468bc207fc0dcc22bb567c55222a3a987d3e55c0f4b373a99c647726adbba"),
 }
 
 TRAIN_STEP = """
@@ -337,21 +343,39 @@ out = model.forward(x, training=True)
 loss = hybrid_loss(y, out)
 model.zero_grad()
 loss.backward()
-digest = hashlib.sha256(out.data.tobytes() + loss.data.tobytes())
+step = hashlib.sha256(out.data.tobytes() + loss.data.tobytes())
+kernels = hashlib.sha256()
 for name, t in model.named_parameters():
-    digest.update(name.encode() + t.grad.tobytes())
-print(digest.hexdigest())
+    (kernels if name.endswith(".kernel") else step).update(name.encode() + t.grad.tobytes())
+print(step.hexdigest(), kernels.hexdigest())
 """
 
 
-@pytest.mark.parametrize("batch", sorted(TRAIN_STEP_SHA256))
-def test_training_step_golden_bytes_at_224_px(tmp_path, batch):
-    """One 224 px training step keeps its bits, in a child with BLAS pinned
-    to one thread as criterion 8 runs the CLI."""
-    proc = subprocess.run([sys.executable, "-c", TRAIN_STEP, str(batch)], cwd=tmp_path,
-                          env=PINNED_ENV, capture_output=True, text=True, timeout=300)
+@pytest.fixture(scope="module", params=sorted(TRAIN_STEP_SHA256))
+def train_step_digests(request, tmp_path_factory):
+    """(batch, step digest, kernel digest) of TRAIN_STEP, from one child with
+    BLAS pinned to one thread as criterion 8 runs the CLI."""
+    batch = request.param
+    proc = subprocess.run([sys.executable, "-c", TRAIN_STEP, str(batch)],
+                          cwd=tmp_path_factory.mktemp("step"), env=PINNED_ENV,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == TRAIN_STEP_SHA256[batch]
+    return (batch, *proc.stdout.split())
+
+
+def test_training_step_golden_bytes_at_224_px(train_step_digests):
+    """One 224 px training step keeps the bits of its output, its loss and
+    every gradient but the kernels'."""
+    batch, step, _ = train_step_digests
+    assert step == TRAIN_STEP_SHA256[batch][0]
+
+
+def test_training_step_kernel_gradient_bytes_at_224_px(train_step_digests):
+    """The same step keeps the bits of its kernel gradients: each the float32
+    sum of the per-sample products in batch order. A float64 batch sum
+    changes every one of the 11 kernels' bytes at both batch sizes."""
+    batch, _, kernels = train_step_digests
+    assert kernels == TRAIN_STEP_SHA256[batch][1]
 
 
 # The traced peak of one canonical Q=3 batch-4 training step at 224 px: the

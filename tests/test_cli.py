@@ -261,6 +261,39 @@ class TestTrainCommand:
         assert code == 0 and len(outputs) >= 4
         assert alive_at_ingest == [[False] * step for step in range(len(outputs))]
 
+    def test_train_log_reads_each_output_before_its_backward(self, dataset, tmp_path, monkeypatch):
+        # A backward that releases the graph it walks leaves no interior
+        # node's data to read afterwards. Here every walked interior node,
+        # the sigmoid output among them, gets new data after the backward;
+        # the train log and checkpoint must be those of an unpatched run.
+        args = ("train", *SMALL, "--index", dataset, "--epochs", 1, "--no-augment", "--seed", 5)
+        assert run_cli(*args, "--out", tmp_path / "plain") == 0
+        backward = Tensor.backward
+
+        def releasing_backward(self):
+            interior, stack, seen = [], [self], set()
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    interior += [node] if node._parents and node is not self else []
+                    stack.extend(node._parents)
+            backward(self)
+            for node in interior:
+                node.data = np.ones_like(node.data)
+
+        monkeypatch.setattr(Tensor, "backward", releasing_backward)
+        assert run_cli(*args, "--out", tmp_path / "released") == 0
+
+        def without_elapsed(run):
+            text = (tmp_path / run / "train_log.csv").read_text()
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+        assert without_elapsed("released") == without_elapsed("plain")
+        assert len(without_elapsed("plain")) == 2
+        assert ((tmp_path / "released" / "checkpoint.ckpt").read_bytes()
+                == (tmp_path / "plain" / "checkpoint.ckpt").read_bytes())
+
     def test_encoder_channels_need_five_widths(self, tmp_path, capsys):
         # Rejected as a usage error before the (missing) index is read.
         for widths in ("4,4,4", "4,4,4,4,4,4"):

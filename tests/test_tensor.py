@@ -381,21 +381,34 @@ class TestConv2d:
             assert rel_err(t.grad, numeric.data) < 1e-3, name
 
 
+def batch_sum(terms, dtype):
+    """The terms added onto zeros of dtype in their order, rounded to float32."""
+    total = np.zeros(terms[0].shape, dtype)
+    for term in terms:
+        total += term
+    return total.astype(np.float32)
+
+
+# Scale of the big sample in the cancelling batches: a power of two, so the
+# scaling itself rounds nothing, and small enough that in float32 the small
+# samples round against the big ones without vanishing. At 1e12 they vanish,
+# and a batch of three (big, small, -big) sums to all zeros.
+BIG = np.float32(2.0 ** 12)
+
+
 def run_in_slices(run, x0, k0, b0, g0, stride, size):
     """run() on the batch ``size`` samples per call: y and the input gradient
-    concatenated, and the kernel gradient as the float64 sum of each sample's
-    own gradient in batch order. A one-sample kernel gradient is that
-    sample's float32 product, so the sum is the whole batch's arithmetic."""
+    concatenated, and the kernel gradient as the float32 sum of each sample's
+    own gradient in batch order, onto float32 zeros. A one-sample kernel
+    gradient is that sample's float32 product, so the sum is the whole
+    batch's arithmetic."""
     n = len(x0)
     one = [run(x0[i:i + 1], k0, b0, g0[i:i + 1], stride) for i in range(n)]
     parts = one if size == 1 else [run(x0[i:i + size], k0, b0, g0[i:i + size], stride)
                                    for i in range(0, n, size)]
-    kernel = np.zeros(k0.shape)
-    for part in one:
-        kernel += part["kernel"]
     return {"y": np.concatenate([p["y"] for p in parts]),
             "x": np.concatenate([p["x"] for p in parts]),
-            "kernel": kernel.astype(np.float32)}
+            "kernel": batch_sum([part["kernel"] for part in one], np.float32)}
 
 
 class TestConv2dBatchSlices:
@@ -434,11 +447,11 @@ class TestConv2dBatchSlices:
         self.check_slices(1, stride, size)
 
     def test_weight_gradient_adds_samples_in_batch_order(self):
-        # A float64 sum of a few float32 products is exact, so it hides the
-        # order of the additions unless the terms span a wide range: here
-        # sample 2 cancels sample 0 and the small samples round against them.
+        # A sum of like-sized products hides the order of its additions in
+        # most bits, so here the terms span a wide range: sample 2 cancels
+        # sample 0, and the small samples round against them.
         rng = np.random.default_rng(23)
-        big = rng.standard_normal((1, 4, 8, 8)).astype(np.float32) * np.float32(1e12)
+        big = rng.standard_normal((1, 4, 8, 8)).astype(np.float32) * BIG
         small = rng.standard_normal((3, 4, 8, 8)).astype(np.float32)
         x0 = np.concatenate([big, small[:1], -big, small[1:]])
         k0 = rng.standard_normal((2, 4, 3, 3)).astype(np.float32)
@@ -447,16 +460,11 @@ class TestConv2dBatchSlices:
         g0[2] = g0[0]
         whole = self.run(x0, k0, b0, g0, 1)
         products = [self.run(x0[i:i + 1], k0, b0, g0[i:i + 1], 1)["kernel"] for i in range(5)]
-
-        def float64_sum(terms):
-            total = np.zeros(k0.shape)
-            for term in terms:
-                total += term
-            return total.astype(np.float32).tobytes()
-
-        assert whole["kernel"].tobytes() == float64_sum(products)
-        # Negative control: the same products added in reverse order round otherwise.
-        assert whole["kernel"].tobytes() != float64_sum(products[::-1])
+        assert whole["kernel"].tobytes() == batch_sum(products, np.float32).tobytes()
+        # Negative controls: the same products added in reverse order, or in
+        # batch order onto float64 zeros, round otherwise.
+        assert whole["kernel"].tobytes() != batch_sum(products[::-1], np.float32).tobytes()
+        assert whole["kernel"].tobytes() != batch_sum(products, np.float64).tobytes()
 
     @staticmethod
     def held_bytes(x, kernel):
@@ -564,7 +572,9 @@ def assert_within_fp32_bound(new, x0, k0, b0, g0, stride, names):
     within that of the exact sum, whatever order it adds its n terms in.
     n counts the terms of the longest sum: C*k*k products and the bias for
     y; k*k taps for dx; the padded grid (which holds every output pixel)
-    for each sample's dW product, plus one rounding of the float64 total."""
+    for each sample's dW product, plus n for the batch sum: its n - 1
+    float32 additions, or the column form's one rounding of its float64
+    total."""
     ref = column_form(x0, k0, b0, g0, stride)
     terms = column_form(np.abs(x0), np.abs(k0), np.abs(b0), np.abs(g0), stride, np.float64)
     n, c, h, w = x0.shape
@@ -572,7 +582,7 @@ def assert_within_fp32_bound(new, x0, k0, b0, g0, stride, names):
     _, pt, pb = tensor_mod._same_pads(h, k, stride)
     _, pl, pr = tensor_mod._same_pads(w, k, stride)
     u = np.finfo(np.float32).eps / 2
-    count = {"y": c * k * k + 1, "x": k * k, "kernel": (h + pt + pb) * (w + pl + pr) + 1}
+    count = {"y": c * k * k + 1, "x": k * k, "kernel": (h + pt + pb) * (w + pl + pr) + n}
     for name in names:
         gamma = count[name] * u / (1 - count[name] * u)
         err = np.abs(new[name].astype(np.float64) - ref[name])
@@ -664,7 +674,7 @@ class TestOneOutputChannelBackward:
         w2 = k0.reshape(1, c * 9)
         _, dw = tensor_mod._lower(x0, 3, stride, outer=g.reshape(n, 1, -1))
         want_dx = tensor_mod._adjoint(g.reshape(n, 1, -1), w2, 3, stride, hh, ww)
-        return x.grad, kernel.grad, want_dx, dw.astype(np.float32).reshape(k0.shape)
+        return x.grad, kernel.grad, want_dx, dw.reshape(k0.shape)
 
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
     def test_dx_keeps_the_bytes_of_the_adjoint_added_into_zeros(self, stride):
@@ -907,6 +917,29 @@ class TestConvTransposeBatchSlices:
         assert sorted(i for r in ranges for i in r) == list(range(8))
         assert x.grad.any() and kernel.grad.any()
 
+    def test_weight_gradient_peak_holds_one_float32_product(self, monkeypatch):
+        # Decoder block 1's transpose backward at 64 px, Q=3: 768 input
+        # channels on a 2x2 grid up to 128 on 4x4, so the (768, 1152) weight
+        # gradient outweighs the columns 48 times. The lowering holds its
+        # columns, one sample's float32 product, the float32 dw it adds the
+        # products onto and its output; a float64 dw holds 3.4 MiB more.
+        monkeypatch.setattr(tensor_mod, "_width", 1)
+        rng = np.random.default_rng(46)
+        g = rng.standard_normal((4, 128, 4, 4)).astype(np.float32)
+        w2 = rng.standard_normal((768, 128 * 9)).astype(np.float32)
+        outer = rng.standard_normal((4, 768, 4)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y, dw = tensor_mod._lower(g, 3, 2, w2=w2, outer=outer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cols_bytes = 4 * w2.shape[1] * 4 * 4
+        product_bytes = w2.size * 4
+        bound = cols_bytes + 2 * product_bytes + y.nbytes + (1 << 20)
+        assert peak <= bound, (peak, bound)
+        assert dw.dtype == np.float32 and dw.shape == w2.shape and dw.any()
+
     def test_peak_holds_the_whole_column_buffer(self):
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((4, 2, 16, 16)).astype(np.float32))
@@ -979,7 +1012,7 @@ class TestSampleRanges:
         if batch > 2:
             # As in the batch-order test: sample 2 cancels sample 0, so a
             # weight gradient added up range by range rounds otherwise.
-            x0[0] *= np.float32(1e12)
+            x0[0] *= BIG
             x0[2], g0[2] = -x0[0], g0[0]
         results = []
         for width in (1, 2, 3):
@@ -1102,7 +1135,7 @@ class TestSampleRanges:
         k0 = rng.standard_normal((3, 4, 3, 3) if op is conv2d else (4, 3, 3, 3)).astype(np.float32)
         b0 = rng.standard_normal(3).astype(np.float32)
         g0 = rng.standard_normal((5, 3, 14, 12)).astype(np.float32)
-        x0[0] *= np.float32(1e12)  # sample 2 cancels sample 0, as above
+        x0[0] *= BIG  # sample 2 cancels sample 0, as above
         x0[2], g0[2] = -x0[0], g0[0]
         seen = []
 
@@ -1124,31 +1157,25 @@ class TestSampleRanges:
 
     def test_per_range_partial_sums_of_the_weight_gradient_round_otherwise(self, monkeypatch):
         # Negative control for the tests above: adding each range's products
-        # into a float64 partial of its own, and then the partials, rounds
-        # otherwise on the cancelling samples.
+        # into a partial of its own, and then the partials, rounds otherwise
+        # on the cancelling samples.
         rng = np.random.default_rng(51)
         x0 = rng.standard_normal((5, 4, 7, 6)).astype(np.float32)
         k0 = rng.standard_normal((3, 4, 3, 3)).astype(np.float32)
         b0 = rng.standard_normal(3).astype(np.float32)
         g0 = rng.standard_normal((5, 3, 7, 6)).astype(np.float32)
-        x0[0] *= np.float32(1e12)
+        x0[0] *= BIG
         x0[4], g0[4] = -x0[0], g0[0]  # the last sample cancels the first
-        # One sample's float32 product, exact in its float64 sum.
+        # Each one-sample kernel gradient is that sample's float32 product.
         products = [self.run(conv2d, x0[i:i + 1], k0, b0, g0[i:i + 1], 1)["kernel"] for i in range(5)]
-
-        def float64_sum(terms):
-            total = np.zeros(k0.shape)
-            for term in terms:
-                total += term
-            return total
-
-        want = float64_sum(products).astype(np.float32)
+        want = batch_sum(products, np.float32)
         for width in (1, 2, 3):
             with pool_width(monkeypatch, width):
                 assert self.run(conv2d, x0, k0, b0, g0, 1)["kernel"].tobytes() == want.tobytes()
             bounds = [i * 5 // width for i in range(width + 1)]
-            partials = float64_sum(float64_sum(products[a:b]) for a, b in zip(bounds, bounds[1:]))
-            assert (partials.astype(np.float32).tobytes() == want.tobytes()) == (width == 1)
+            partials = batch_sum([batch_sum(products[a:b], np.float32)
+                                  for a, b in zip(bounds, bounds[1:])], np.float32)
+            assert (partials.tobytes() == want.tobytes()) == (width == 1)
 
     def test_each_routed_op_runs_inline_below_its_floor(self, monkeypatch):
         # At width 3 each op splits when its work reaches its floor and runs
