@@ -934,7 +934,7 @@ class TestConvTransposeBatchSlices:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cols_bytes = 4 * w2.shape[1] * 4 * 4
+        cols_bytes = len(g) * w2.shape[1] * outer.shape[2] * 4
         product_bytes = w2.size * 4
         bound = cols_bytes + 2 * product_bytes + y.nbytes + (1 << 20)
         assert peak <= bound, (peak, bound)
