@@ -258,9 +258,7 @@ def _predict_batched(model, staged, batch_size: int):
 
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    # The eval flags' usage errors, like resolve_config's, come before any read or write.
     if args.counts:
         try:
             tp, fp, tn, fn = (int(p) for p in args.counts.split(","))
@@ -268,6 +266,12 @@ def cmd_eval(args) -> int:
             raise ValueError(f"--counts wants 'tp,fp,tn,fn' integers, got {args.counts!r}") from None
         counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn, granularity="sample")
         report = metrics_from_confusion(counts)
+    elif args.predictor == "model" and not args.ckpt:
+        raise ValueError("--ckpt is required unless --predictor oracle/zero or --counts is used")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    if args.counts:
         (out_dir / "metrics_sample.csv").write_text(metrics_csv(counts, report), encoding="utf-8")
         write_run_log(out_dir, "eval", cfg, [f"injected_counts = {args.counts}"])
         print(confusion_table(counts))
@@ -286,8 +290,6 @@ def cmd_eval(args) -> int:
     staged = _stage_records(records, cfg.input_size)
 
     if args.predictor == "model":
-        if not args.ckpt:
-            raise ValueError("--ckpt is required unless --predictor oracle/zero or --counts is used")
         model = load_checkpoint(args.ckpt, cfg.model_config())
         preds = _predict_batched(model, staged, cfg.batch_size)
     elif args.predictor == "oracle":

@@ -115,25 +115,21 @@ def check_conv(seed: int = 0, corrupt_kind: str | None = None) -> KindResult:
 
 
 def _check_oper_family(kind: str, seed: int, corrupt_kind: str | None) -> KindResult:
+    """An operational op at each order: 2 input channels at 4x4 to 3 outputs,
+    same-padded conv2d at stride 1 or conv2d_transpose at stride 2 (8x8)."""
+    transpose = kind == "oper-transpose"
+    op, stride, side = (conv2d_transpose, 2, 8) if transpose else (conv2d, 1, 4)
     components = []
     for q in Q_ORDERS:
         rng = np.random.default_rng([seed, 2, q])
         x = Tensor(rng.uniform(-0.9, 0.9, (1, 2, 4, 4)).astype(np.float32))
         bias = Tensor(rng.uniform(-0.2, 0.2, 3).astype(np.float32))
-        if kind == "oper":
-            kernel = Tensor(rng.uniform(-0.4, 0.4, (3, 2 * q, 3, 3)).astype(np.float32))
-            g = rng.uniform(0.5, 1.5, (1, 3, 4, 4)).astype(np.float32)
+        layout = (2 * q, 3) if transpose else (3, 2 * q)
+        kernel = Tensor(rng.uniform(-0.4, 0.4, (*layout, 3, 3)).astype(np.float32))
+        g = rng.uniform(0.5, 1.5, (1, 3, side, side)).astype(np.float32)
 
-            def build_loss(ts, q=q, g=g):
-                return (conv2d(power_expand(ts["x"], q), ts["kernel"], ts["bias"],
-                               stride=1) * Tensor(g)).sum()
-        else:
-            kernel = Tensor(rng.uniform(-0.4, 0.4, (2 * q, 3, 3, 3)).astype(np.float32))
-            g = rng.uniform(0.5, 1.5, (1, 3, 8, 8)).astype(np.float32)
-
-            def build_loss(ts, q=q, g=g):
-                return (conv2d_transpose(power_expand(ts["x"], q), ts["kernel"], ts["bias"],
-                                         stride=2) * Tensor(g)).sum()
+        def build_loss(ts, q=q, g=g):
+            return (op(power_expand(ts["x"], q), ts["kernel"], ts["bias"], stride=stride) * Tensor(g)).sum()
 
         tensors = {"x": x, "kernel": kernel, "bias": bias}
         eps = {"x": EPS_POLY, "kernel": EPS_LINEAR, "bias": EPS_LINEAR}

@@ -4,7 +4,8 @@ An operational layer generalizes a convolution by feeding it the first Q
 elementwise powers of each input channel, so every kernel tap learns the
 coefficients of a degree-Q polynomial in its input. Q=1 is exactly a plain
 convolution, so the encoder's strided convolutions are operational layers
-at Q=1. Every layer is same-padded and has a bias.
+at Q=1. One class, ``OperLayer``, builds both the forward and the
+transposed form; every layer is 3x3, same-padded and has a bias.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from .tensor import Tensor, batchnorm, conv2d, conv2d_transpose, power_expand
 
+KERNEL_SIZE = 3  # every encoder, decoder and final layer kernel is 3x3
 BN_MOMENTUM = 0.99  # running statistics keep this share of their value per training step
 BN_EPS = 1e-5
 
@@ -22,51 +24,36 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out:
     return rng.uniform(-limit, limit, size=shape).astype(np.float32, copy=False)
 
 
-class Oper2DLayer:
-    """Operational convolution: power expansion to Cin*Q channels, then a
-    same-padded conv with bias.
+class OperLayer:
+    """Operational convolution: power expansion to Cin*Q channels, then one
+    same-padded KERNEL_SIZE convolution with bias.
 
-    The kernel slice for source channel c, power q sits at input channel
-    c*Q + q - 1, so the Q=1 kernel is laid out exactly like a plain conv's.
+    ``transpose`` picks the convolution: kernels (Cout, Cin*Q, k, k) under
+    ``conv2d``, or (Cin*Q, Cout, k, k) under ``conv2d_transpose``, which
+    upsamples by the stride. The kernel slice for source channel c, power q
+    sits at channel c*Q + q - 1 of the Cin*Q axis, so the Q=1 kernel is laid
+    out exactly like a plain convolution's. Either layout is drawn with the
+    same Glorot fans.
     """
 
     def __init__(self, rng: np.random.Generator, in_channels: int, out_channels: int,
-                 kernel_size: int, q_order: int, stride: int = 1):
+                 q_order: int, stride: int, transpose: bool = False):
         if q_order < 1:
             raise ValueError(f"q_order must be >= 1, got {q_order}")
-        k = kernel_size
+        k = KERNEL_SIZE
         self.q_order = q_order
         self.stride = stride
-        self.kernel = Tensor(glorot_uniform(rng, (out_channels, in_channels * q_order, k, k),
-                                            fan_in=k * k * in_channels * q_order,
-                                            fan_out=k * k * out_channels))
+        self.transpose = transpose
+        wide = in_channels * q_order
+        shape = (wide, out_channels, k, k) if transpose else (out_channels, wide, k, k)
+        self.kernel = Tensor(glorot_uniform(rng, shape, fan_in=k * k * wide, fan_out=k * k * out_channels))
         self.bias = Tensor(np.zeros(out_channels, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(power_expand(x, self.q_order), self.kernel, self.bias, stride=self.stride)
-
-    def params(self):
-        return [("kernel", self.kernel), ("bias", self.bias)]
-
-
-class Oper2DTransposeLayer:
-    """Operational transposed convolution; kernels (Cin*Q, Cout, k, k)."""
-
-    def __init__(self, rng: np.random.Generator, in_channels: int, out_channels: int,
-                 kernel_size: int, q_order: int, stride: int = 1):
-        if q_order < 1:
-            raise ValueError(f"q_order must be >= 1, got {q_order}")
-        k = kernel_size
-        self.q_order = q_order
-        self.stride = stride
-        self.kernel = Tensor(glorot_uniform(rng, (in_channels * q_order, out_channels, k, k),
-                                            fan_in=k * k * in_channels * q_order,
-                                            fan_out=k * k * out_channels))
-        self.bias = Tensor(np.zeros(out_channels, dtype=np.float32))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d_transpose(power_expand(x, self.q_order), self.kernel, self.bias,
-                                stride=self.stride)
+        # The ops are looked up when called, so a module attribute replaced
+        # after the layer was built (a tracer's wrapper) still takes effect.
+        op = conv2d_transpose if self.transpose else conv2d
+        return op(power_expand(x, self.q_order), self.kernel, self.bias, stride=self.stride)
 
     def params(self):
         return [("kernel", self.kernel), ("bias", self.bias)]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _accumulate
+from .tensor import ShapeError, Tensor, _accumulate, _sum32
 
 DICE_SMOOTH = 1e-6
 PROB_CLIP = 1e-7
@@ -65,11 +65,6 @@ def _check_binary(p: Tensor, op: str) -> None:
     if not np.all((p.data == 0.0) | (p.data == 1.0)):
         bad = p.data[(p.data != 0.0) & (p.data != 1.0)].flat[0]
         raise ValueError(f"{op}: ground-truth mask must be binary, found value {bad}")
-
-
-def _sum32(x: np.ndarray, axis=None) -> np.ndarray:
-    """x summed over axis in float64, rounded to float32."""
-    return np.asarray(x.sum(axis=axis, dtype=np.float64), dtype=np.float32)
 
 
 def dice_loss(p: Tensor, q: Tensor) -> Tensor:

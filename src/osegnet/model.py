@@ -1,13 +1,15 @@
 """Model assembly: strided-conv encoder, operational decoder, checkpoints.
 
-The network is an autoencoder-shaped segmenter. The encoder halves the
-spatial extent at every stage (an operational layer at Q=1, which is a
-plain strided convolution, then a batchnorm that ends in tanh, one op), so
-the decoder always sees features in [-1, 1] — the domain where polynomial
-nodal operators are well behaved. The decoder mirrors the encoder with x2
-operational transpose blocks, each under the same batchnorm and tanh, and
-finishes with a single-channel operational layer under sigmoid. No skip
-connections: the decoder consumes only the bottleneck features.
+The network is an autoencoder-shaped segmenter built from one layer class,
+``layers.OperLayer``, at 3x3 (``KERNEL_SIZE``). The encoder halves the
+spatial extent at every stage (an operational layer at Q=1 and stride 2,
+which is a plain strided convolution, then a batchnorm that ends in tanh,
+one op), so the decoder always sees features in [-1, 1] — the domain where
+polynomial nodal operators are well behaved. The decoder mirrors the
+encoder with x2 operational transpose blocks (``transpose=True``), each
+under the same batchnorm and tanh, and finishes with a single-channel
+operational layer at stride 1 under sigmoid. No skip connections: the
+decoder consumes only the bottleneck features.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BatchNormLayer, Oper2DLayer, Oper2DTransposeLayer
+from .layers import KERNEL_SIZE, BatchNormLayer, OperLayer  # KERNEL_SIZE is re-exported
 from .tensor import ShapeError, Tensor, no_graph
 
 CANONICAL_ENCODER = (16, 32, 64, 128, 256)
 CANONICAL_DECODER = (128, 64, 32, 16, 8)
-KERNEL_SIZE = 3  # every encoder, decoder and final layer kernel is 3x3
 Q_ORDERS = (1, 2, 3, 4, 5)  # the polynomial orders a model accepts
 
 CHECKPOINT_MAGIC = b"OSGN"
@@ -89,22 +90,20 @@ class OSegNetModel:
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        k = KERNEL_SIZE
 
         self.encoder = []
         prev = 1
         for ch in config.encoder_channels:
-            conv = Oper2DLayer(rng, prev, ch, k, 1, stride=2)
-            self.encoder.append((conv, BatchNormLayer(ch)))
+            self.encoder.append((OperLayer(rng, prev, ch, q_order=1, stride=2), BatchNormLayer(ch)))
             prev = ch
 
         self.decoder = []
         for f in config.decoder_filters:
-            up = Oper2DTransposeLayer(rng, prev, f, k, config.q_order, stride=2)
-            self.decoder.append((up, BatchNormLayer(f)))
+            self.decoder.append((OperLayer(rng, prev, f, config.q_order, stride=2, transpose=True),
+                                 BatchNormLayer(f)))
             prev = f
 
-        self.final = Oper2DLayer(rng, prev, 1, k, config.q_order, stride=1)
+        self.final = OperLayer(rng, prev, 1, config.q_order, stride=1)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         """Run the network; inference (``training=False``) records no graph.

@@ -3,17 +3,17 @@
 Every value is a numpy float32 array wrapped in a :class:`Tensor`. Operations
 build a computation graph on the fly; calling ``backward()`` on a scalar loss
 walks that graph once in reverse topological order and accumulates gradients
-into ``.grad``. Besides the network's ops, ``Tensor`` has only add,
-multiply (either operand may be a single element) and a full sum: the
-hybrid loss adds its two terms, and the gradient checks project an op's
-output onto a scalar. Each loss is one node of its own, with a closed-form
-backward (``losses``). The heavy kernels (conv2d and its transpose) are
-written in im2col/col2im form, or on the padded grid for one channel, so
-the inner loops run as BLAS matmuls with a fixed summation order. Both are
+into ``.grad``. Besides the network's ops, ``Tensor`` has only add and
+multiply, each of two Tensors of one shape, and a full sum: the hybrid loss
+adds its two terms, and the gradient checks project an op's output onto a
+scalar. Each loss is one node of its own, with a closed-form backward
+(``losses``). The heavy kernels (conv2d and its transpose) are written in
+im2col/col2im form, or on the padded grid for one channel, so the inner
+loops run as BLAS matmuls with a fixed summation order. Both are
 same-padded and always add a per-channel bias, the one form the network
 uses. Reductions (the full sum, the bias gradients, batchnorm's statistics)
-accumulate in float64 and round the result back to float32; the
-convolutions' weight gradients add float32 products in float32 (below).
+accumulate in float64 and round the result back to float32 (``_sum32``);
+the convolutions' weight gradients add float32 products in float32 (below).
 
 Both convolutions run on one lowering and its adjoint, and the two kernels
 own the same-padding geometry: ``_lower`` computes ``w2 @ im2col(x)``, the
@@ -249,6 +249,11 @@ def _as_f32(data) -> np.ndarray:
     return arr
 
 
+def _sum32(x: np.ndarray, axis=None) -> np.ndarray:
+    """x summed over axis in float64, rounded to float32."""
+    return np.asarray(x.sum(axis=axis, dtype=np.float64), dtype=np.float32)
+
+
 def _accumulate(node: "Tensor", grad: np.ndarray, owned: bool = False) -> None:
     """Add grad into node.grad; an ``owned`` grad (a fresh float32 array of the node's
     shape that nothing else holds) becomes the first gradient without a copy."""
@@ -365,57 +370,36 @@ class Tensor:
 
     # -- elementwise algebra -------------------------------------------------
 
-    @staticmethod
-    def _lift(value) -> "Tensor":
-        if isinstance(value, Tensor):
-            return value
-        return Tensor(np.asarray(value, dtype=np.float32))
-
-    @staticmethod
-    def _check_elementwise(a: "Tensor", b: "Tensor", op: str) -> None:
-        # No implicit broadcasting: shapes must match exactly unless one side
-        # is a single element.
-        if a.shape != b.shape and a.size != 1 and b.size != 1:
-            raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-    @staticmethod
-    def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
-        if grad.shape == shape:
-            return grad
-        # The operand was a single element broadcast across the other shape.
-        return np.asarray(grad.sum(dtype=np.float64), dtype=np.float32).reshape(shape)
+    def _check_operand(self, other, op: str) -> None:
+        # No broadcasting: the other operand is a Tensor of this one's shape.
+        if not isinstance(other, Tensor) or other.shape != self.shape:
+            raise ShapeError(f"{op}: needs a Tensor of shape {self.shape}, got {other!r}")
 
     def __add__(self, other):
-        other = Tensor._lift(other)
-        Tensor._check_elementwise(self, other, "add")
+        self._check_operand(other, "add")
 
         def bwd(g):
-            _accumulate(self, Tensor._reduce_to(g, self.shape))
-            _accumulate(other, Tensor._reduce_to(g, other.shape))
+            _accumulate(self, g)
+            _accumulate(other, g)
 
         return Tensor(self.data + other.data, (self, other), "add", bwd)
 
     def __mul__(self, other):
-        other = Tensor._lift(other)
-        Tensor._check_elementwise(self, other, "mul")
+        self._check_operand(other, "mul")
 
         def bwd(g):
-            _accumulate(self, Tensor._reduce_to(g * other.data, self.shape))
-            _accumulate(other, Tensor._reduce_to(g * self.data, other.shape))
+            _accumulate(self, g * other.data)
+            _accumulate(other, g * self.data)
 
         return Tensor(self.data * other.data, (self, other), "mul", bwd)
-
-    __rmul__ = __mul__
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self) -> "Tensor":
-        value = self.data.sum(dtype=np.float64)
-
         def bwd(g):
             _accumulate(self, np.broadcast_to(g.reshape(()), self.shape))
 
-        return Tensor(np.asarray(value, dtype=np.float32), (self,), "sum", bwd)
+        return Tensor(_sum32(self.data), (self,), "sum", bwd)
 
     # -- activations ---------------------------------------------------------
 
@@ -696,7 +680,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         g3 = g.reshape(*g.shape[:2], -1)
         _, dw = _lower(x.data, k, stride, outer=g3)
         _accumulate(kernels, dw.reshape(kernels.shape), owned=True)
-        _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
+        _accumulate(bias, _sum32(g, (0, 2, 3)))
         # A leaf made under no_graph() (a batch input) has no gradient buffer:
         # nothing reads its gradient, so none is computed.
         if x._parents or x.grad is not None:
@@ -721,7 +705,7 @@ def conv2d_transpose(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) 
         dx, dw = _lower(g, k, stride, w2=w2, outer=x.data.reshape(n, cin, h * w))
         _accumulate(kernels, dw.reshape(kernels.shape), owned=True)
         _accumulate(x, dx, owned=True)
-        _accumulate(bias, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32))
+        _accumulate(bias, _sum32(g, (0, 2, 3)))
 
     return Tensor(y, (x, kernels, bias), "conv2d_transpose", bwd)
 

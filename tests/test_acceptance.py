@@ -20,7 +20,7 @@ import pytest
 import osegnet
 from osegnet.data import load_index, synth_generate
 from osegnet.gradcheck import run_all
-from osegnet.layers import Oper2DLayer, Oper2DTransposeLayer
+from osegnet.layers import OperLayer
 from osegnet.losses import dice_loss, focal_loss, hybrid_loss
 from osegnet.metrics import (ConfusionCounts, detect_sample, format_percent,
                              metrics_from_confusion, pixel_confusion)
@@ -83,19 +83,17 @@ def test_criterion_2_order_one_reduction():
     for trial in range(50):
         cin = int(rng.integers(1, 5))
         cout = int(rng.integers(1, 5))
-        k = int(rng.choice([1, 3]))
         size = int(rng.choice([4, 6, 8]))
         stride = int(rng.choice([1, 2]))
         x = Tensor(rng.uniform(-1, 1, (2, cin, size, size)).astype(np.float32))
 
-        oper = Oper2DLayer(np.random.default_rng(trial), cin, cout, k, 1, stride=stride)
+        oper = OperLayer(np.random.default_rng(trial), cin, cout, 1, stride)
         oper.kernel.data[:] = rng.uniform(-1, 1, oper.kernel.shape).astype(np.float32)
         oper.bias.data[:] = rng.uniform(-0.5, 0.5, cout).astype(np.float32)
         plain = conv2d(x, oper.kernel, oper.bias, stride=stride)
         worst = max(worst, float(np.abs(oper(x).data - plain.data).max()))
 
-        oper_t = Oper2DTransposeLayer(np.random.default_rng(trial), cin, cout, k, 1,
-                                      stride=stride)
+        oper_t = OperLayer(np.random.default_rng(trial), cin, cout, 1, stride, transpose=True)
         oper_t.kernel.data[:] = rng.uniform(-1, 1, oper_t.kernel.shape).astype(np.float32)
         oper_t.bias.data[:] = rng.uniform(-0.5, 0.5, cout).astype(np.float32)
         plain_t = conv2d_transpose(x, oper_t.kernel, oper_t.bias, stride=stride)

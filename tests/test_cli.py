@@ -363,13 +363,24 @@ class TestEvalCommand:
         assert (out / "metrics_sample.csv").is_file()
 
     def test_bad_counts_is_usage_error(self, tmp_path, capsys):
-        assert run_cli("eval", "--counts", "1,2,3", "--out", tmp_path / "ev") == 2
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--counts", "1,2,3", "--out", out) == 2
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_model_predictor_requires_ckpt(self, dataset, tmp_path, capsys):
-        code = run_cli("eval", *SMALL, "--index", dataset, "--out", tmp_path / "ev")
+    def test_all_zero_counts_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--counts", "0,0,0,0", "--out", out) == 2
+        assert "all-zero" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_predictor_requires_ckpt(self, dataset, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "ev"
+        monkeypatch.setattr(cli, "load_index", lambda *a: pytest.fail("read the index"))
+        code = run_cli("eval", *SMALL, "--index", dataset, "--out", out)
         assert code == 2
         assert "--ckpt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_predictor_end_to_end(self, dataset, tmp_path):
         run_dir = tmp_path / "run"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from osegnet.layers import (BN_EPS, BN_MOMENTUM, BatchNormLayer, Oper2DLayer, Oper2DTransposeLayer,
-                            glorot_uniform)
+from osegnet import layers as layers_mod
+from osegnet.layers import BN_EPS, BN_MOMENTUM, KERNEL_SIZE, BatchNormLayer, OperLayer, glorot_uniform
 from osegnet.tensor import Tensor, conv2d, conv2d_transpose
 
 
@@ -22,35 +22,45 @@ class TestInit:
         assert abs(w.mean()) < limit * 0.05  # roughly centered
 
     def test_same_rng_seed_gives_identical_layers(self):
-        a = Oper2DLayer(np.random.default_rng(7), 3, 4, 3, 2)
-        b = Oper2DLayer(np.random.default_rng(7), 3, 4, 3, 2)
+        a = OperLayer(np.random.default_rng(7), 3, 4, 2, 1)
+        b = OperLayer(np.random.default_rng(7), 3, 4, 2, 1)
         assert np.array_equal(a.kernel.data, b.kernel.data)
         assert np.array_equal(a.bias.data, b.bias.data)
 
     def test_bias_starts_at_zero(self):
-        layer = Oper2DLayer(np.random.default_rng(1), 2, 5, 3, 1)
+        layer = OperLayer(np.random.default_rng(1), 2, 5, 1, 1)
         assert np.array_equal(layer.bias.data, np.zeros(5, np.float32))
+
+    def test_both_layouts_draw_the_same_values(self):
+        # One Glorot draw with the same fans, in the same order, whichever
+        # axis holds the Cin*Q channels: only the shape differs.
+        for q in (1, 3):
+            plain = OperLayer(np.random.default_rng(11), 4, 6, q, 2)
+            up = OperLayer(np.random.default_rng(11), 4, 6, q, 2, transpose=True)
+            assert plain.kernel.shape == (6, 4 * q, 3, 3) and up.kernel.shape == (4 * q, 6, 3, 3)
+            assert plain.kernel.data.tobytes() == up.kernel.data.tobytes()
 
 
 class TestOper2D:
     def test_kernel_shape_scales_with_order(self):
         for q in (1, 2, 3, 5):
-            layer = Oper2DLayer(np.random.default_rng(0), 3, 8, 3, q)
-            assert layer.kernel.shape == (8, 3 * q, 3, 3)
+            layer = OperLayer(np.random.default_rng(0), 3, 8, q, 1)
+            assert layer.kernel.shape == (8, 3 * q, KERNEL_SIZE, KERNEL_SIZE)
             assert layer.bias.shape == (8,)
 
     def test_hand_example_polynomial_of_input(self):
-        # 1x1 kernel, one channel, order 2, weights (1, 2), bias 0.1:
-        # y = 1*0.5 + 2*0.25 + 0.1 = 1.1
-        layer = Oper2DLayer(np.random.default_rng(0), 1, 1, 1, 2)
-        layer.kernel.data[:] = np.array([1.0, 2.0], np.float32).reshape(1, 2, 1, 1)
+        # One channel, order 2, on a 1x1 input: only the centre tap lands on
+        # it, weights (1, 2), bias 0.1: y = 1*0.5 + 2*0.25 + 0.1 = 1.1
+        layer = OperLayer(np.random.default_rng(0), 1, 1, 2, 1)
+        layer.kernel.data[:] = 0.0
+        layer.kernel.data[0, :, 1, 1] = [1.0, 2.0]
         layer.bias.data[:] = 0.1
         x = Tensor(np.full((1, 1, 1, 1), 0.5, dtype=np.float32))
         out = layer(x)
         assert np.isclose(out.data.item(), 1.1, atol=1e-6)
 
     def test_zero_input_yields_bias(self):
-        layer = Oper2DLayer(np.random.default_rng(2), 2, 3, 3, 4)
+        layer = OperLayer(np.random.default_rng(2), 2, 3, 4, 1)
         layer.bias.data[:] = np.array([0.5, -0.25, 2.0], np.float32)
         out = layer(Tensor(np.zeros((1, 2, 4, 4), np.float32)))
         for c, b in enumerate([0.5, -0.25, 2.0]):
@@ -58,7 +68,7 @@ class TestOper2D:
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(3)
-        layer = Oper2DLayer(rng, 2, 3, 3, 3)
+        layer = OperLayer(rng, 2, 3, 3, 1)
         x = rand_input(rng, (2, 2, 6, 6))
         base = layer(x).data.copy()
         layer.kernel.data *= 2.0
@@ -71,36 +81,58 @@ class TestOper2D:
         for trial in range(8):
             cin = int(rng.integers(1, 4))
             cout = int(rng.integers(1, 5))
-            k = int(rng.choice([1, 3]))
             stride = int(rng.choice([1, 2]))
-            oper = Oper2DLayer(np.random.default_rng(trial), cin, cout, k, 1, stride=stride)
+            oper = OperLayer(np.random.default_rng(trial), cin, cout, 1, stride)
             x = rand_input(rng, (2, cin, 6, 6))
             plain = conv2d(x, oper.kernel, oper.bias, stride=stride)
             assert np.array_equal(oper(x).data, plain.data)
 
     def test_stride_supported(self):
-        layer = Oper2DLayer(np.random.default_rng(5), 1, 2, 3, 2, stride=2)
+        layer = OperLayer(np.random.default_rng(5), 1, 2, 2, 2)
         out = layer(Tensor(np.zeros((1, 1, 8, 8), np.float32)))
         assert out.shape == (1, 2, 4, 4)
 
     def test_param_count_closed_form(self):
-        for cin, cout, k, q in ((3, 8, 3, 2), (1, 1, 1, 1), (4, 6, 3, 5)):
-            layer = Oper2DLayer(np.random.default_rng(0), cin, cout, k, q)
-            total = sum(t.data.size for _, t in layer.params())
-            assert total == cout * (k * k * cin * q + 1)
+        k2 = KERNEL_SIZE ** 2
+        for cin, cout, q in ((3, 8, 2), (1, 1, 1), (4, 6, 5)):
+            for transpose in (False, True):
+                layer = OperLayer(np.random.default_rng(0), cin, cout, q, 1, transpose=transpose)
+                total = sum(t.data.size for _, t in layer.params())
+                assert total == cout * (k2 * cin * q + 1)
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            Oper2DLayer(np.random.default_rng(0), 1, 1, 3, 0)
+        for transpose in (False, True):
+            with pytest.raises(ValueError):
+                OperLayer(np.random.default_rng(0), 1, 1, 0, 1, transpose=transpose)
+
+    def test_ops_are_looked_up_when_called(self, monkeypatch):
+        # A module attribute replaced after the layer was built (a tracer's
+        # wrapper, here a spy) is the one each call runs.
+        calls = []
+
+        def spy(name):
+            op = getattr(layers_mod, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return op(*args, **kwargs)
+            return call
+
+        for name in ("conv2d", "conv2d_transpose"):
+            monkeypatch.setattr(layers_mod, name, spy(name))
+        x =Tensor(np.zeros((1, 2, 4, 4), np.float32))
+        OperLayer(np.random.default_rng(0), 2, 3, 2, 1)(x)
+        OperLayer(np.random.default_rng(0), 2, 3, 2, 2, transpose=True)(x)
+        assert calls == ["conv2d", "conv2d_transpose"]
 
 
 class TestOper2DTranspose:
     def test_kernel_shape(self):
-        layer = Oper2DTransposeLayer(np.random.default_rng(0), 4, 6, 3, 3, stride=2)
-        assert layer.kernel.shape == (4 * 3, 6, 3, 3)
+        layer = OperLayer(np.random.default_rng(0), 4, 6, 3, 2, transpose=True)
+        assert layer.kernel.shape == (4 * 3, 6, KERNEL_SIZE, KERNEL_SIZE)
 
     def test_upsamples_by_stride(self):
-        layer = Oper2DTransposeLayer(np.random.default_rng(1), 2, 3, 3, 2, stride=2)
+        layer = OperLayer(np.random.default_rng(1), 2, 3, 2, 2, transpose=True)
         out = layer(Tensor(np.zeros((2, 2, 5, 5), np.float32)))
         assert out.shape == (2, 3, 10, 10)
 
@@ -109,15 +141,14 @@ class TestOper2DTranspose:
         for trial in range(8):
             cin = int(rng.integers(1, 4))
             cout = int(rng.integers(1, 5))
-            layer = Oper2DTransposeLayer(np.random.default_rng(trial), cin, cout, 3, 1,
-                                         stride=2)
+            layer = OperLayer(np.random.default_rng(trial), cin, cout, 1, 2, transpose=True)
             x = rand_input(rng, (1, cin, 4, 4))
             a = layer(x).data
             b = conv2d_transpose(x, layer.kernel, layer.bias, stride=2).data
             assert np.abs(a - b).max() < 1e-6
 
     def test_zero_input_yields_bias(self):
-        layer = Oper2DTransposeLayer(np.random.default_rng(7), 2, 2, 3, 3, stride=2)
+        layer = OperLayer(np.random.default_rng(7), 2, 2, 3, 2, transpose=True)
         layer.bias.data[:] = np.array([1.0, -1.0], np.float32)
         out = layer(Tensor(np.zeros((1, 2, 3, 3), np.float32)))
         assert np.allclose(out.data[0, 0], 1.0)

@@ -68,12 +68,15 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 2))) * Tensor(np.ones((4,)))
 
-    def test_scalar_broadcast_allowed(self):
+    def test_scalar_broadcast_rejected(self):
+        # Negative control: no operand broadcasts, not a float and not a
+        # one-element Tensor, so neither records a node.
         a = Tensor([1.0, 2.0])
-        out = a * 3.0 + 1.0
-        assert np.allclose(out.data, [4.0, 7.0])
-        out.sum().backward()
-        assert np.allclose(a.grad, [3.0, 3.0])
+        for other in (3.0, Tensor([3.0])):
+            with pytest.raises(ShapeError, match=r"add: needs a Tensor of shape \(2,\)"):
+                a + other
+            with pytest.raises(ShapeError, match=r"mul: needs a Tensor of shape \(2,\)"):
+                a * other
 
     def test_activation_symmetry_points(self):
         # batchnorm ends in tanh: at the running mean with beta 0 it gives tanh(0).
@@ -129,7 +132,7 @@ class TestBackward:
     def test_unused_parameter_gets_zero_grad(self):
         x = Tensor([1.0])
         unused = Tensor([5.0])
-        (x * 2.0).sum().backward()
+        (x * Tensor([2.0])).sum().backward()
         assert np.array_equal(unused.grad, np.zeros(1, dtype=np.float32))
 
     def test_non_scalar_loss_rejected(self):
@@ -149,7 +152,7 @@ class TestBackward:
 
     def test_diamond_graph_accumulates(self):
         x = Tensor([2.0])
-        y = x * x + x * 3.0  # reuses x twice
+        y = x * x + x * Tensor([3.0])  # reuses x twice
         y.sum().backward()
         assert np.allclose(x.grad, [2 * 2.0 + 3.0])
 
@@ -158,7 +161,7 @@ class TestBackward:
         # gradient once walked, so a second walk would have nothing to run.
         x = Tensor([1.0, 2.0])
         h = x * x
-        loss = (h.sigmoid() * 3.0).sum()
+        loss = (h.sigmoid() * Tensor([3.0, 3.0])).sum()
         loss.backward()
         grad = x.grad.copy()
         assert (h._backward_fn, h.grad, loss._backward_fn, loss.grad) == (None, None, None, None)
@@ -166,7 +169,7 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="released"):
             loss.backward()
         with pytest.raises(RuntimeError, match="released"):
-            (h * 2.0).sum().backward()  # a new loss over a released node
+            (h * Tensor([2.0, 2.0])).sum().backward()  # a new loss over a released node
         assert x.grad.tobytes() == grad.tobytes()  # neither walk reached a gradient
 
 
@@ -177,9 +180,10 @@ class TestNoGraph:
         rng = np.random.default_rng(31)
         x = Tensor(rng.uniform(-1, 1, (2, 3, 6, 6)).astype(np.float32))
         k = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32))
-        recorded = (conv2d(x, k, zero_bias(4)).sigmoid() * 2.0).sum()
+        two = Tensor(np.full((2, 4, 6, 6), 2.0, np.float32))
+        recorded = (conv2d(x, k, zero_bias(4)).sigmoid() * two).sum()
         with no_graph():
-            free = (conv2d(x, k, zero_bias(4)).sigmoid() * 2.0).sum()
+            free = (conv2d(x, k, zero_bias(4)).sigmoid() * two).sum()
             leaf = Tensor([1.0])
         assert free.data.tobytes() == recorded.data.tobytes()
         assert recorded._parents and recorded._backward_fn is not None
@@ -190,7 +194,7 @@ class TestNoGraph:
         x = Tensor([1.0, 2.0])
         with no_graph():
             h = x.sigmoid()
-        loss = (h * 3.0).sum()  # recorded on top of an inference node
+        loss = (h * Tensor([3.0, 3.0])).sum()  # recorded on top of an inference node
         with pytest.raises(RuntimeError, match="inference mode"):
             loss.backward()
         assert loss.grad is None
@@ -733,7 +737,7 @@ class TestOneOutputChannelBackward:
         monkeypatch.setattr(tensor_mod, "_width", 1)
         rng = np.random.default_rng(39)
         x = Tensor(rng.standard_normal((4, 24, 32, 32)).astype(np.float32))
-        h = x * 1.0
+        h = x * Tensor(np.ones(x.shape, np.float32))
         kernel = Tensor(rng.standard_normal((1, 24, 3, 3)).astype(np.float32))
         y = conv2d(h, kernel, zero_bias(1), stride=1)
         g = rng.standard_normal(y.shape).astype(np.float32)
@@ -822,7 +826,7 @@ class TestConvTranspose:
     @pytest.mark.parametrize("cin", [3, 1])
     def test_input_gradient_is_taken_without_a_copy(self, monkeypatch, cin):
         # The lowering's output is a fresh array nothing else holds, so it
-        # becomes the input's first gradient as it is. h = x * 1 takes it
+        # becomes the input's first gradient as it is. h = x * ones takes it
         # unmixed with a leaf's zeros.
         owned_flags = {}
         accumulate = tensor_mod._accumulate
@@ -834,7 +838,7 @@ class TestConvTranspose:
         monkeypatch.setattr(tensor_mod, "_accumulate", spy)
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((2, cin, 5, 6)).astype(np.float32))
-        h = x * 1.0
+        h = x * Tensor(np.ones(x.shape, np.float32))
         kernel = Tensor(rng.standard_normal((cin, 4, 3, 3)).astype(np.float32))
         y = conv2d_transpose(h, kernel, zero_bias(4), stride=2)
         y._backward_fn(np.ones(y.shape, dtype=np.float32))
@@ -1410,7 +1414,7 @@ class TestBatchnormOp:
             out.sum().backward()
         assert not x.grad.any() and not gamma.grad.any()
         # Graph recording is on again for the next op.
-        assert (x * 2.0)._parents[0] is x
+        assert (x * Tensor(np.full(x.shape, 2.0, np.float32)))._parents[0] is x
 
     def test_training_rejects_one_value_per_channel(self):
         # N*H*W = 1 would normalize every value to beta with a zero input
