@@ -172,13 +172,13 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     records = [r for r in load_index(cfg.data_index) if r.split == "train"]
     if not records:
         raise IndexFileError(f"{cfg.data_index}: no train records")
     staged = _stage_records(records, cfg.input_size)
+    # Made once the inputs are read, so a failed read leaves no --out behind.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(cfg.seed)
     model = build_model(cfg.model_config(), rng)
@@ -269,9 +269,9 @@ def cmd_eval(args) -> int:
     elif args.predictor == "model" and not args.ckpt:
         raise ValueError("--ckpt is required unless --predictor oracle/zero or --counts is used")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.counts:
+        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "metrics_sample.csv").write_text(metrics_csv(counts, report), encoding="utf-8")
         write_run_log(out_dir, "eval", cfg, [f"injected_counts = {args.counts}"])
         print(confusion_table(counts))
@@ -296,6 +296,7 @@ def cmd_eval(args) -> int:
         preds = [(msk > 127).astype(np.float32) for _, _, msk in staged]
     else:
         preds = [np.zeros((cfg.input_size, cfg.input_size), dtype=np.float32) for _ in staged]
+    out_dir.mkdir(parents=True, exist_ok=True)  # once the index, images and checkpoint are read
 
     gts = [(msk > 127).astype(np.float32) for _, _, msk in staged]
     pixel_counts = ConfusionCounts(granularity="pixel")
@@ -328,15 +329,14 @@ def _print_undefined(granularity: str, report) -> None:
 
 def cmd_predict(args) -> int:
     cfg = resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = load_checkpoint(args.ckpt, cfg.model_config())
-
     image = load_pgm(args.image)
     if image.shape != (cfg.input_size, cfg.input_size):
         raise ShapeError(
             f"{args.image} is {image.shape[1]}x{image.shape[0]} but the model wants "
             f"{cfg.input_size}x{cfg.input_size}; resize the image (or set input_size) first")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # once the checkpoint and image are read
     with no_graph():  # the input is not trained: no gradient buffer
         x = Tensor(to_unit(image)[None, None])
     probs = model.forward(x, training=False).data[0, 0]

@@ -27,13 +27,16 @@ adjoint; conv2d_transpose is the adjoint forward, whose backward takes its
 input gradient and its weight gradient from one lowering. The two ops only
 check their operands (one check for both), add the bias and wire the graph.
 No columns outlive the call that built them: the graph holds the
-convolution's input, which the backward lowers again, and the weight
-gradient adds the per-sample float32 products in batch order in float32
-(each product's own K-term rounding bound dwarfs those N - 1 additions, so
-a float64 total would buy no accuracy).
-Every sample goes through the same BLAS call as it would in a batch of its
-own, so a sample's output and input gradient do not depend on the batch it
-is in.
+convolution's input, which the backward lowers again. The column path's
+weight gradient takes one of two rules, chosen by the shape alone: below
+``_SPLIT_MIN_MACS`` multiply-adds a sample (a batch that never splits) it
+is one float32 GEMM over the whole batch's columns, laid side by side;
+at or above it, and on the one-row path, the per-sample float32 products
+are added in batch order in float32 (each product's own K-term rounding
+bound dwarfs those N - 1 additions, so a float64 total would buy no
+accuracy). Every sample's output and input gradient go through the same
+BLAS call as they would in a batch of its own, so they do not depend on the
+batch it is in.
 
 That is also why work may be split across CPUs without moving a bit. One
 helper, ``_split``, cuts a leading range into contiguous ranges, one per CPU
@@ -52,12 +55,14 @@ is one of:
 - blocks of Adam's parameters (``optim``), above the same bytes floor.
 Anything else, and a batch of one, runs inline. Every sample, channel and
 element goes through the numpy calls it would go through alone, so the bits
-do not depend on the number of ranges. The weight-gradient products run
-side by side exactly when the batch splits: they go into one buffer of the
-batch's and are then added in batch order in float32, as an unsplit batch
-adds each one as it is formed. glibc gets one malloc arena (below), so the
-pool's threads reuse the main heap, and a forked child makes a fresh pool
-at its first split, since the parent's threads do not exist there.
+do not depend on the number of ranges. A weight gradient below the floor is
+one GEMM on the calling thread at any pool width. At or above it the
+per-sample products run side by side exactly when the batch splits: they go
+into one buffer of the batch's and are then added in batch order in
+float32, as an unsplit batch adds each one as it is formed. glibc gets one
+malloc arena (below), so the pool's threads reuse the main heap, and a
+forked child makes a fresh pool at its first split, since the parent's
+threads do not exist there.
 
 A lowering whose ``w2`` has one row (conv2d with one output channel, as the
 final layer's, or conv2d_transpose with one input channel) builds no
@@ -529,19 +534,29 @@ def _lower(x, k, stride, w2=None, outer=None):
     x: (N, C, H, W); w2: (Cout, C*k*k); outer: (N, Cout, h_out*w_out).
     Returns (y, dw), each None unless asked for: y as (N, Cout, h_out,
     w_out), and dw, the float32 (Cout, C*k*k) weight gradient, the sum over
-    samples of outer[n] @ cols[n].T, adding the float32 products in batch
-    order onto float32 zeros. A float64 total would buy no accuracy: each
-    product is already a float32 GEMM of K terms (K = h_out*w_out, or the
-    padded grid below), whose error bound gamma_K dwarfs the N - 1
-    roundings of the batch sum (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 3.1); and numpy's mixed float32 to float64 add costs about
-    four times a float32 add. The input gradient is _adjoint's. Each sample
-    range (_split) builds its samples' columns into a buffer of its own,
-    once, forms from it whatever was asked, and frees it: nothing outlives
-    the call but y and dw. When the batch splits, the products go side by
-    side into one buffer of the batch's and are added after, in batch
-    order; else they are formed and added one at a time on the calling
-    thread. Either way dw is the same float32 sum, whatever the pool width.
+    samples of outer[n] @ cols[n].T. The input gradient is _adjoint's. Each
+    sample range (_split) builds its samples' columns into a buffer of its
+    own, once, forms from it whatever was asked, and frees it: nothing
+    outlives the call but y and dw.
+
+    With more than one row in w2 (in outer), y is one GEMM per sample, and
+    dw follows one of two rules, chosen by the shape alone (never the pool
+    width), so its bits do not depend on the width. Below ``_SPLIT_MIN_MACS`` multiply-adds a sample the batch never
+    splits: its columns are laid side by side, (C, k, k, N, h_out, w_out),
+    and dw is one float32 GEMM of N*hw terms, outer (Cout, N*hw) @ cols
+    (C*k*k, N*hw).T, with only outer copied into that layout; y's GEMMs
+    read each sample's columns through strides (Chellapilla, Puri and
+    Simard, *High Performance Convolutional Neural Networks for Document
+    Processing*, IWFHR 2006). At or above the floor, and on the one-row
+    path, the float32 products are added in batch order onto float32
+    zeros: when the batch splits they go side by side into one buffer of
+    the batch's and are added after; else they are formed and added one at
+    a time on the calling thread. A float64 total would buy no accuracy:
+    each product is already a float32 GEMM of K terms (K = h_out*w_out, or
+    the padded grid below), whose error bound gamma_K dwarfs the N - 1
+    roundings of the batch sum (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 3.1); and numpy's mixed float32 to float64 add
+    costs about four times a float32 add.
 
     With one row in w2 (one in outer) no columns are built and each sample
     goes through its own BLAS calls on its padded grid, copied into a buffer
@@ -557,10 +572,14 @@ def _lower(x, k, stride, w2=None, outer=None):
     hp, wp = h + pt + pb, w + pl + pr
     work = cout * rows * (hw if cout > 1 else hp * wp)
     width = _ranges(n, work, _SPLIT_MIN_MACS)
+    # Below the floor (never split) the columns' weight gradient is one GEMM
+    # over the batch; the choice reads only the shape, never the pool width.
+    stacked = cout > 1 and outer is not None and work < _SPLIT_MIN_MACS
     y = None if w2 is None else np.empty((n, cout, hw), dtype=np.float32)
-    dw = None if outer is None else np.zeros((cout, rows), dtype=np.float32)
-    # The products go side by side exactly when the batch splits.
-    parts = None if outer is None else np.empty((n if width > 1 else 1, cout, rows), dtype=np.float32)
+    dw = None if outer is None else (np.empty if stacked else np.zeros)((cout, rows), dtype=np.float32)
+    # Above it the products go side by side exactly when the batch splits.
+    parts = None if outer is None or stacked else np.empty((n if width > 1 else 1, cout, rows),
+                                                           dtype=np.float32)
 
     def product(i, a, b_t):
         """Sample i's float32 product a @ b_t; added at once unless the batch splits."""
@@ -569,7 +588,18 @@ def _lower(x, k, stride, w2=None, outer=None):
         if width == 1:
             np.add(dw, part, out=dw)
 
-    if cout > 1:
+    if stacked:
+        def lower(a, b):
+            # The whole batch (a, b = 0, n), its samples' columns side by
+            # side: (C, k, k, N, h_out, w_out), read as (C*k*k, N*hw) by the
+            # weight gradient's GEMM and per sample, through strides, by y's.
+            side = np.empty((c, k, k, n, h_out, w_out), dtype=np.float32)
+            _im2col(x, k, stride, pt, pl, side.transpose(3, 0, 1, 2, 4, 5))
+            if y is not None:
+                np.matmul(w2, side.reshape(rows, n, hw).transpose(1, 0, 2), out=y)
+            outer2 = outer.transpose(1, 0, 2).reshape(cout, n * hw)  # a copy, unless n = 1
+            np.matmul(outer2, side.reshape(rows, n * hw).T, out=dw)
+    elif cout > 1:
         def lower(a, b):
             cols = np.empty((b - a, c, k, k, h_out, w_out), dtype=np.float32)
             cols = _im2col(x[a:b], k, stride, pt, pl, cols).reshape(b - a, rows, hw)

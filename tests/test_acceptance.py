@@ -311,16 +311,18 @@ def test_criterion_9_brute_force_oracle():
 # and a 10% pixel mask from default_rng(batch), made as the CLI makes a
 # batch), as two digests. The first covers the output, the loss and every
 # parameter's name and gradient but the kernels', in registration order; the
-# second each kernel's name and gradient. The kernel gradients add their
-# per-sample products in float32, in batch order; the rest of the step never
-# sees that sum, so the first digest is also that of a float64 batch sum.
-# Batch 4 and batch 8 give the final layer and decoder block 5's transpose
-# their training shapes at two batch sizes.
+# second each kernel's name and gradient. A kernel gradient below the split
+# floor (here encoder block 1's) is one float32 GEMM over the batch's
+# columns; at or above it (the other ten) the per-sample products are added
+# in float32, in batch order. The rest of the step never sees either sum, so
+# the first digest is also that of a float64 batch sum. Batch 4 and batch 8
+# give the final layer and decoder block 5's transpose their training shapes
+# at two batch sizes.
 TRAIN_STEP_SHA256 = {
     4: ("43a27504a30c48a2ad94545f1d29df7c3b56728a17416c633f29eb79bdcdeace",
-        "1539c5f9743ed07d87498770d208c89fa4d027ba4d1b927b48cde3141b04cf42"),
+        "31b09d94c41513d2cde3244cbb48b04b3860a761f14c80c20436d163e75c02b2"),
     8: ("b5a1f7048872fc93ff11330aadea6ad9d644577843d6403373b6704f7c730358",
-        "faf468bc207fc0dcc22bb567c55222a3a987d3e55c0f4b373a99c647726adbba"),
+        "ddaaee1121947113c46d102d2ab4c7046cb51d35f96092e2c42a3d7b4c0cd2bd"),
 }
 
 TRAIN_STEP = """
@@ -369,9 +371,10 @@ def test_training_step_golden_bytes_at_224_px(train_step_digests):
 
 
 def test_training_step_kernel_gradient_bytes_at_224_px(train_step_digests):
-    """The same step keeps the bits of its kernel gradients: each the float32
-    sum of the per-sample products in batch order. A float64 batch sum
-    changes every one of the 11 kernels' bytes at both batch sizes."""
+    """The same step keeps the bits of its kernel gradients: below the split
+    floor one float32 GEMM over the batch, at or above it the float32 sum of
+    the per-sample products in batch order. A float64 batch sum changes
+    every one of the 11 kernels' bytes at both batch sizes."""
     batch, _, kernels = train_step_digests
     assert kernels == TRAIN_STEP_SHA256[batch][1]
 

@@ -313,6 +313,11 @@ class TestTrainCommand:
                        "--epochs", 1, "--out", tmp_path / "run")
         assert code == 1
 
+    def test_failed_read_leaves_no_out_dir(self, tmp_path):
+        out = tmp_path / "tr"
+        assert run_cli("train", "--index", tmp_path / "nope.tsv", "--out", out) == 1
+        assert not out.exists()
+
     def test_config_file_drives_training(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -380,6 +385,12 @@ class TestEvalCommand:
         code = run_cli("eval", *SMALL, "--index", dataset, "--out", out)
         assert code == 2
         assert "--ckpt" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_read_leaves_no_out_dir(self, tmp_path):
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--predictor", "oracle", "--index", tmp_path / "nope.tsv",
+                       "--out", out) == 1
         assert not out.exists()
 
     def test_model_predictor_end_to_end(self, dataset, tmp_path):
@@ -498,6 +509,12 @@ class TestPredictCommand:
         code = run_cli("predict", *SMALL, "--ckpt", tmp_path / "none.ckpt",
                        "--image", image, "--out", tmp_path / "pr")
         assert code == 1
+
+    def test_failed_read_leaves_no_out_dir(self, tmp_path):
+        out = tmp_path / "pr"
+        assert run_cli("predict", "--ckpt", tmp_path / "nope.ckpt", "--image", tmp_path / "nope.pgm",
+                       "--out", out) == 1
+        assert not out.exists()
 
     def test_image_directory_is_an_io_error(self, dataset, trained, tmp_path, capsys):
         code = run_cli("predict", *SMALL, "--ckpt", trained,

@@ -95,6 +95,16 @@ class TestScaling:
         assert out[0] == 0.0 and out[2] == 1.0
         assert abs(out[1] - 128 / 255) < 1e-7
 
+    def test_to_unit_keeps_the_bytes_of_every_byte_value(self):
+        # The float32 quotient, as the formula with a float32 cast after it
+        # gave, and each value's float32 division by 255, one at a time.
+        all_values = np.arange(256, dtype=np.uint8)
+        out = to_unit(all_values)
+        assert out.dtype == np.float32
+        old = (np.asarray(all_values, dtype=np.float32) / 255.0).astype(np.float32)
+        assert out.tobytes() == old.tobytes()
+        assert out.tobytes() == np.array([np.float32(v) / np.float32(255) for v in range(256)]).tobytes()
+
     def test_to_bytes_rounding(self):
         out = to_bytes(np.array([0.0, 0.5, 1.0]))
         assert out.dtype == np.uint8

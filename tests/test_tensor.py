@@ -404,8 +404,9 @@ def run_in_slices(run, x0, k0, b0, g0, stride, size):
     """run() on the batch ``size`` samples per call: y and the input gradient
     concatenated, and the kernel gradient as the float32 sum of each sample's
     own gradient in batch order, onto float32 zeros. A one-sample kernel
-    gradient is that sample's float32 product, so the sum is the whole
-    batch's arithmetic."""
+    gradient is that sample's float32 product, so the sum is the batch's
+    arithmetic at or above the split floor (below it the column path forms
+    one GEMM over the batch instead)."""
     n = len(x0)
     one = [run(x0[i:i + 1], k0, b0, g0[i:i + 1], stride) for i in range(n)]
     parts = one if size == 1 else [run(x0[i:i + size], k0, b0, g0[i:i + size], stride)
@@ -413,6 +414,20 @@ def run_in_slices(run, x0, k0, b0, g0, stride, size):
     return {"y": np.concatenate([p["y"] for p in parts]),
             "x": np.concatenate([p["x"] for p in parts]),
             "kernel": batch_sum([part["kernel"] for part in one], np.float32)}
+
+
+def assert_slicing_changes_no_bits(monkeypatch, run, x0, k0, b0, g0, stride, size):
+    """The whole batch against run_in_slices, bitwise: y and the input
+    gradient at the real split floor, and the kernel gradient under the
+    rule at or above it (the floor at 0), which adds the per-sample products
+    in batch order."""
+    whole = run(x0, k0, b0, g0, stride)
+    sliced = run_in_slices(run, x0, k0, b0, g0, stride, size)
+    for name in ("y", "x"):
+        assert np.array_equal(whole[name], sliced[name]), name
+        assert whole[name].tobytes() == sliced[name].tobytes(), name
+    monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 0)
+    assert run(x0, k0, b0, g0, stride)["kernel"].tobytes() == sliced["kernel"].tobytes()
 
 
 class TestConv2dBatchSlices:
@@ -427,33 +442,32 @@ class TestConv2dBatchSlices:
         (y * Tensor(g0[:, :, :y.shape[2], :y.shape[3]])).sum().backward()
         return {"y": y.data, "x": x.grad, "kernel": kernel.grad, "bias": bias.grad}
 
-    def check_slices(self, cout, stride, size):
+    def check_slices(self, monkeypatch, cout, stride, size):
         rng = np.random.default_rng(21)
         x0 = rng.standard_normal((3, 4, 11, 9)).astype(np.float32)
         k0 = rng.standard_normal((cout, 4, 3, 3)).astype(np.float32)
         b0 = rng.standard_normal(cout).astype(np.float32)
         g0 = rng.standard_normal((3, cout, 11, 9)).astype(np.float32)
         g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
-        whole = self.run(x0, k0, b0, g0, stride)
-        sliced = run_in_slices(self.run, x0, k0, b0, g0, stride, size)  # 1+1+1 or 2+1
-        for name, arr in sliced.items():
-            assert np.array_equal(whole[name], arr), name
-            assert whole[name].tobytes() == arr.tobytes(), name
+        # 1+1+1 or 2+1 samples a call
+        assert_slicing_changes_no_bits(monkeypatch, self.run, x0, k0, b0, g0, stride, size)
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
-    def test_slicing_changes_no_bits(self, stride, size):
-        self.check_slices(2, stride, size)
+    def test_slicing_changes_no_bits(self, monkeypatch, stride, size):
+        self.check_slices(monkeypatch, 2, stride, size)
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
-    def test_one_output_channel_slicing_changes_no_bits(self, stride, size):
-        self.check_slices(1, stride, size)
+    def test_one_output_channel_slicing_changes_no_bits(self, monkeypatch, stride, size):
+        self.check_slices(monkeypatch, 1, stride, size)
 
-    def test_weight_gradient_adds_samples_in_batch_order(self):
-        # A sum of like-sized products hides the order of its additions in
-        # most bits, so here the terms span a wide range: sample 2 cancels
-        # sample 0, and the small samples round against them.
+    @staticmethod
+    def cancelling_batch():
+        """(x0, k0, b0, g0) of five samples whose terms span a wide range:
+        sample 2 cancels sample 0, and the small samples round against them.
+        A sum of like-sized products would hide the order of its additions
+        in most bits."""
         rng = np.random.default_rng(23)
         big = rng.standard_normal((1, 4, 8, 8)).astype(np.float32) * BIG
         small = rng.standard_normal((3, 4, 8, 8)).astype(np.float32)
@@ -462,13 +476,48 @@ class TestConv2dBatchSlices:
         b0 = rng.standard_normal(2).astype(np.float32)
         g0 = rng.standard_normal((5, 2, 8, 8)).astype(np.float32)
         g0[2] = g0[0]
-        whole = self.run(x0, k0, b0, g0, 1)
+        return x0, k0, b0, g0
+
+    def test_weight_gradient_adds_samples_in_batch_order(self, monkeypatch):
+        # The rule at or above the split floor (here at 0).
+        x0, k0, b0, g0 = self.cancelling_batch()
         products = [self.run(x0[i:i + 1], k0, b0, g0[i:i + 1], 1)["kernel"] for i in range(5)]
+        monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 0)
+        whole = self.run(x0, k0, b0, g0, 1)
         assert whole["kernel"].tobytes() == batch_sum(products, np.float32).tobytes()
         # Negative controls: the same products added in reverse order, or in
         # batch order onto float64 zeros, round otherwise.
         assert whole["kernel"].tobytes() != batch_sum(products[::-1], np.float32).tobytes()
         assert whole["kernel"].tobytes() != batch_sum(products, np.float64).tobytes()
+
+    def test_below_the_floor_the_weight_gradient_is_one_gemm_over_the_batch(self):
+        # At the real floor this small batch never splits: its kernel
+        # gradient is outer (Cout, N*hw) @ cols (C*k*k, N*hw).T, one float32
+        # GEMM of N*hw terms, on the columns laid side by side.
+        x0, k0, b0, g0 = self.cancelling_batch()
+        n, c = x0.shape[:2]
+        cols = np.ascontiguousarray(padded_columns(x0, 3, 1).transpose(1, 2, 3, 0, 4, 5))
+        outer = g0.transpose(1, 0, 2, 3).reshape(len(k0), -1)
+        want = np.matmul(outer, cols.reshape(c * 9, -1).T).reshape(k0.shape)
+        whole = self.run(x0, k0, b0, g0, 1)
+        assert whole["kernel"].tobytes() == want.tobytes()
+        # Negative control: on the cancelling batch, the per-sample products
+        # added in batch order (the rule at or above the floor) round otherwise.
+        products = [self.run(x0[i:i + 1], k0, b0, g0[i:i + 1], 1)["kernel"] for i in range(n)]
+        assert whole["kernel"].tobytes() != batch_sum(products, np.float32).tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2], ids=same_padded)
+    def test_below_the_floor_the_weight_gradient_is_within_the_fp32_bound(self, stride):
+        # The one GEMM's sums run over N*hw terms each.
+        rng = np.random.default_rng(25)
+        x0 = rng.standard_normal((3, 4, 11, 9)).astype(np.float32)
+        k0 = rng.standard_normal((3, 4, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(3).astype(np.float32)
+        g0 = rng.standard_normal((3, 3, 11, 9)).astype(np.float32)
+        g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
+        new = self.run(x0, k0, b0, g0, stride)
+        hw = new["y"].shape[2] * new["y"].shape[3]
+        assert_within_fp32_bound(new, x0, k0, b0, g0, stride, ("y", "kernel"), kernel_terms=3 * hw)
 
     @staticmethod
     def held_bytes(x, kernel):
@@ -542,20 +591,21 @@ class TestIm2col:
 
 
 def column_form(x0, k0, b0, g0, stride, dtype=np.float32):
-    """Reference for the one-output-channel conv2d: the column form it
-    replaces. y = w2 @ im2col(x), dW = sum over samples of g @ cols.T, and
-    dx = col2im(w2.T @ g), an outer product whose taps col2im adds in order.
-    With dtype float64 and |operands| it gives each element's sum of |terms|."""
+    """Reference for conv2d in column form, the form the one-output-channel
+    path replaces. y = w2 @ im2col(x), dW = sum over samples of g @ cols.T,
+    and dx = col2im(w2.T @ g), whose taps col2im adds in order (an outer
+    product for one output channel). With dtype float64 and |operands| it
+    gives each element's sum of |terms|."""
     n, c, h, w = x0.shape
-    k = k0.shape[2]
+    cout, k = len(k0), k0.shape[2]
     h_out, pt, pb = tensor_mod._same_pads(h, k, stride)
     w_out, pl, pr = tensor_mod._same_pads(w, k, stride)
     padded = np.pad(x0.astype(dtype), ((0, 0), (0, 0), (pt, pb), (pl, pr)))
     cols = padded_columns(x0.astype(dtype), k, stride).reshape(n, c * k * k, -1)
-    w2 = k0.reshape(1, c * k * k).astype(dtype)
-    g3 = g0[:, :, :h_out, :w_out].reshape(n, 1, h_out * w_out).astype(dtype)
-    y = np.matmul(w2, cols).reshape(n, 1, h_out, w_out) + b0.astype(dtype)
-    dw = np.zeros((1, c * k * k))
+    w2 = k0.reshape(cout, c * k * k).astype(dtype)
+    g3 = g0[:, :, :h_out, :w_out].reshape(n, cout, h_out * w_out).astype(dtype)
+    y = np.matmul(w2, cols).reshape(n, cout, h_out, w_out) + b0.reshape(1, -1, 1, 1).astype(dtype)
+    dw = np.zeros((cout, c * k * k))
     for a, b in zip(g3, cols):
         dw += np.matmul(a, b.T)
     dpad = np.zeros(padded.shape, dtype)
@@ -569,16 +619,17 @@ def column_form(x0, k0, b0, g0, stride, dtype=np.float32):
             "bias": g3.sum(axis=(0, 2), dtype=np.float64).astype(dtype)}
 
 
-def assert_within_fp32_bound(new, x0, k0, b0, g0, stride, names):
-    """The grid path against the column form, per element, within twice the
+def assert_within_fp32_bound(new, x0, k0, b0, g0, stride, names, kernel_terms=None):
+    """Results against the column form, per element, within twice the
     standard float32 forward-error bound gamma_n * sum|terms| (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 3.1): each form is
     within that of the exact sum, whatever order it adds its n terms in.
     n counts the terms of the longest sum: C*k*k products and the bias for
-    y; k*k taps for dx; the padded grid (which holds every output pixel)
-    for each sample's dW product, plus n for the batch sum: its n - 1
-    float32 additions, or the column form's one rounding of its float64
-    total."""
+    y; k*k taps for one output channel's dx; and for dW, ``kernel_terms``
+    or by default the grid path's: the padded grid (which holds every
+    output pixel) for each sample's product, plus n for the batch sum: its
+    n - 1 float32 additions, or the column form's one rounding of its
+    float64 total."""
     ref = column_form(x0, k0, b0, g0, stride)
     terms = column_form(np.abs(x0), np.abs(k0), np.abs(b0), np.abs(g0), stride, np.float64)
     n, c, h, w = x0.shape
@@ -586,7 +637,8 @@ def assert_within_fp32_bound(new, x0, k0, b0, g0, stride, names):
     _, pt, pb = tensor_mod._same_pads(h, k, stride)
     _, pl, pr = tensor_mod._same_pads(w, k, stride)
     u = np.finfo(np.float32).eps / 2
-    count = {"y": c * k * k + 1, "x": k * k, "kernel": (h + pt + pb) * (w + pl + pr) + n}
+    count = {"y": c * k * k + 1, "x": k * k,
+             "kernel": kernel_terms or (h + pt + pb) * (w + pl + pr) + n}
     for name in names:
         gamma = count[name] * u / (1 - count[name] * u)
         err = np.abs(new[name].astype(np.float64) - ref[name])
@@ -881,17 +933,14 @@ class TestConvTransposeBatchSlices:
     @pytest.mark.parametrize("cin", [3, 1])
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_slicing_changes_no_bits(self, stride, size, cin):
+    def test_slicing_changes_no_bits(self, monkeypatch, stride, size, cin):
         rng = np.random.default_rng(41)
         x0 = rng.standard_normal((3, cin, 5, 6)).astype(np.float32)
         k0 = rng.standard_normal((cin, 4, 3, 3)).astype(np.float32)
         b0 = rng.standard_normal(4).astype(np.float32)
         g0 = rng.standard_normal((3, 4, 5 * stride, 6 * stride)).astype(np.float32)
         g0[..., ::3] = 0.0  # exact zeros in the upstream gradient
-        whole = self.run(x0, k0, b0, g0, stride)
-        sliced = run_in_slices(self.run, x0, k0, b0, g0, stride, size)
-        for name, arr in sliced.items():
-            assert whole[name].tobytes() == arr.tobytes(), name
+        assert_slicing_changes_no_bits(monkeypatch, self.run, x0, k0, b0, g0, stride, size)
 
     def test_backward_lowers_each_sample_once(self, monkeypatch):
         # Decoder block 5 at 224 px, Q=3: 16*3 channels at 112 px up to 8 at
@@ -921,13 +970,13 @@ class TestConvTransposeBatchSlices:
         assert sorted(i for r in ranges for i in r) == list(range(8))
         assert x.grad.any() and kernel.grad.any()
 
-    def test_weight_gradient_peak_holds_one_float32_product(self, monkeypatch):
-        # Decoder block 1's transpose backward at 64 px, Q=3: 768 input
-        # channels on a 2x2 grid up to 128 on 4x4, so the (768, 1152) weight
-        # gradient outweighs the columns 48 times. The lowering holds its
-        # columns, one sample's float32 product, the float32 dw it adds the
-        # products onto and its output; a float64 dw holds 3.4 MiB more.
-        monkeypatch.setattr(tensor_mod, "_width", 1)
+    @staticmethod
+    def decoder_block_1_peak():
+        """Decoder block 1's transpose backward at 64 px, Q=3: 768 input
+        channels on a 2x2 grid up to 128 on 4x4, so the (768, 1152) weight
+        gradient outweighs the columns 48 times. Returns the lowering's
+        traced peak and the bytes of its columns, of one product (a
+        weight-sized float32 matrix) and of its output."""
         rng = np.random.default_rng(46)
         g = rng.standard_normal((4, 128, 4, 4)).astype(np.float32)
         w2 = rng.standard_normal((768, 128 * 9)).astype(np.float32)
@@ -938,11 +987,28 @@ class TestConvTransposeBatchSlices:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cols_bytes = len(g) * w2.shape[1] * outer.shape[2] * 4
-        product_bytes = w2.size * 4
-        bound = cols_bytes + 2 * product_bytes + y.nbytes + (1 << 20)
-        assert peak <= bound, (peak, bound)
         assert dw.dtype == np.float32 and dw.shape == w2.shape and dw.any()
+        cols_bytes = len(g) * w2.shape[1] * outer.shape[2] * 4
+        return peak, cols_bytes, w2.size * 4, y.nbytes
+
+    def test_weight_gradient_peak_holds_one_float32_product(self, monkeypatch):
+        # At or above the split floor (here at 0), unsplit: the lowering
+        # holds its columns, one sample's float32 product, the float32 dw it
+        # adds the products onto and its output; a float64 dw holds 3.4 MiB
+        # more.
+        monkeypatch.setattr(tensor_mod, "_width", 1)
+        monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 0)
+        peak, cols_bytes, product_bytes, y_bytes = self.decoder_block_1_peak()
+        bound = cols_bytes + 2 * product_bytes + y_bytes + (1 << 20)
+        assert peak <= bound, (peak, bound)
+
+    def test_below_the_floor_the_weight_gradient_peak_holds_no_product_buffer(self):
+        # At the real floor: the one GEMM writes dw directly, so the lowering
+        # holds no weight-sized matrix besides dw; a per-sample product's
+        # buffer would hold 3.4 MiB more.
+        peak, cols_bytes, product_bytes, y_bytes = self.decoder_block_1_peak()
+        bound = cols_bytes + product_bytes + y_bytes + (1 << 20)
+        assert peak <= bound, (peak, bound)
 
     def test_peak_holds_the_whole_column_buffer(self):
         rng = np.random.default_rng(42)
@@ -965,14 +1031,19 @@ class TestConvTransposeBatchSlices:
         assert x.grad.any() and kernel.grad.any()
 
 
+# The convolutions' split floor as the engine sets it.
+SPLIT_MIN_MACS = tensor_mod._SPLIT_MIN_MACS
+
+
 @contextlib.contextmanager
-def pool_width(monkeypatch, width):
-    """Every routed op splits its range, however small, into at most
-    ``width`` ranges, on a pool of width - 1 threads, with the interpreter
-    switching threads often."""
+def pool_width(monkeypatch, width, macs_floor=0):
+    """Every routed op splits its range, however small (a convolution from
+    ``macs_floor`` multiply-adds a sample), into at most ``width`` ranges,
+    on a pool of width - 1 threads, with the interpreter switching threads
+    often."""
     pool = ThreadPoolExecutor(max_workers=max(width - 1, 1))
     monkeypatch.setattr(tensor_mod, "_width", width)
-    monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", 0)
+    monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_MACS", macs_floor)
     monkeypatch.setattr(tensor_mod, "_SPLIT_MIN_BYTES", 0)
     monkeypatch.setattr(tensor_mod, "_pool", pool)
     interval = sys.getswitchinterval()
@@ -1027,13 +1098,34 @@ class TestSampleRanges:
             for width, result in zip((2, 3), results[1:]):
                 assert result[name].tobytes() == results[0][name].tobytes(), (name, width)
 
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("op", [conv2d, conv2d_transpose], ids=["conv2d", "transpose"])
+    def test_bits_do_not_depend_on_the_pool_width_at_the_real_floor(self, monkeypatch, op, side):
+        # pool_width puts the floor at 0 above, so it never reaches the one
+        # GEMM over the batch that forms a kernel gradient below the floor.
+        # Here the floor stays: the small shape is below it at every width,
+        # and the other just above it, split at widths 2 and 3. Sample 2
+        # cancels sample 0, so a rule that read the width would move bits.
+        c, h, w = (4, 7, 6) if side == "below" else (16, 61, 60)
+        work = c * c * 9 * h * w  # a sample's multiply-adds, either op at stride 1
+        assert (work >= SPLIT_MIN_MACS) == (side == "above") and work < 1.01 * SPLIT_MIN_MACS
+        rng = np.random.default_rng([54, c])
+        x0 = rng.standard_normal((3, c, h, w)).astype(np.float32)
+        k0 = rng.uniform(-0.1, 0.1, (c, c, 3, 3)).astype(np.float32)
+        b0 = rng.standard_normal(c).astype(np.float32)
+        g0 = rng.standard_normal((3, c, h, w)).astype(np.float32)
+        x0[0] *= BIG
+        x0[2], g0[2] = -x0[0], g0[0]
+        self.assert_same_bytes_at_every_width(
+            monkeypatch, lambda: self.run(op, x0, k0, b0, g0, 1), SPLIT_MIN_MACS)
+
     @staticmethod
-    def assert_same_bytes_at_every_width(monkeypatch, run):
+    def assert_same_bytes_at_every_width(monkeypatch, run, macs_floor=0):
         """run() returns named arrays; at pool widths 1, 2 and 3 each must
         have the same bytes, and none may be all zeros."""
         results = []
         for width in (1, 2, 3):
-            with pool_width(monkeypatch, width):
+            with pool_width(monkeypatch, width, macs_floor):
                 results.append({name: a.copy() for name, a in run().items()})
         for name in results[0]:
             assert results[0][name].any(), name
