@@ -87,7 +87,7 @@ def save_pgm(image: np.ndarray, path) -> None:
 
 def to_unit(image: np.ndarray) -> np.ndarray:
     """uint8 bytes -> float32 in [0,1]."""
-    return np.asarray(image, dtype=np.float32) / 255.0  # float32 / Python float stays float32
+    return np.divide(image, np.float32(255.0), dtype=np.float32)  # one float32 array, no copy
 
 
 def to_bytes(probs: np.ndarray) -> np.ndarray:

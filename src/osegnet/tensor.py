@@ -34,8 +34,8 @@ is one float32 GEMM over the whole batch's columns, laid side by side;
 at or above it, and on the one-row path, the per-sample float32 products
 are added in batch order in float32 (each product's own K-term rounding
 bound dwarfs those N - 1 additions, so a float64 total would buy no
-accuracy). Every sample's output and input gradient go through the same
-BLAS call as they would in a batch of its own, so they do not depend on the
+accuracy). A sample's output and input gradient go through the same BLAS
+routine as they would in a batch of its own, so they do not depend on the
 batch it is in.
 
 That is also why work may be split across CPUs without moving a bit. One
@@ -541,22 +541,23 @@ def _lower(x, k, stride, w2=None, outer=None):
 
     With more than one row in w2 (in outer), y is one GEMM per sample, and
     dw follows one of two rules, chosen by the shape alone (never the pool
-    width), so its bits do not depend on the width. Below ``_SPLIT_MIN_MACS`` multiply-adds a sample the batch never
-    splits: its columns are laid side by side, (C, k, k, N, h_out, w_out),
-    and dw is one float32 GEMM of N*hw terms, outer (Cout, N*hw) @ cols
-    (C*k*k, N*hw).T, with only outer copied into that layout; y's GEMMs
-    read each sample's columns through strides (Chellapilla, Puri and
-    Simard, *High Performance Convolutional Neural Networks for Document
-    Processing*, IWFHR 2006). At or above the floor, and on the one-row
-    path, the float32 products are added in batch order onto float32
-    zeros: when the batch splits they go side by side into one buffer of
-    the batch's and are added after; else they are formed and added one at
-    a time on the calling thread. A float64 total would buy no accuracy:
-    each product is already a float32 GEMM of K terms (K = h_out*w_out, or
-    the padded grid below), whose error bound gamma_K dwarfs the N - 1
-    roundings of the batch sum (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 3.1); and numpy's mixed float32 to float64 add
-    costs about four times a float32 add.
+    width), so its bits do not depend on the width. Below
+    ``_SPLIT_MIN_MACS`` multiply-adds a sample the batch never splits: its
+    columns are laid side by side, (C, k, k, N, h_out, w_out), and dw is
+    one float32 GEMM of N*hw terms, outer (Cout, N*hw) @ cols (C*k*k,
+    N*hw).T, with only outer copied into that layout; y's GEMMs read each
+    sample's columns through strides (Chellapilla, Puri and Simard, *High
+    Performance Convolutional Neural Networks for Document Processing*,
+    IWFHR 2006). At or above the floor, and on the one-row path, the
+    float32 products are added in batch order onto float32 zeros: when the
+    batch splits they go side by side into one buffer of the batch's and
+    are added after; else they are formed and added one at a time on the
+    calling thread. A float64 total would buy no accuracy: each product is
+    already a float32 GEMM of K terms (K = h_out*w_out, or the padded grid
+    below), whose error bound gamma_K dwarfs the N - 1 roundings of the
+    batch sum (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    3.1); and numpy's mixed float32 to float64 add costs about four times a
+    float32 add.
 
     With one row in w2 (one in outer) no columns are built and each sample
     goes through its own BLAS calls on its padded grid, copied into a buffer
